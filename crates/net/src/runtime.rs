@@ -20,7 +20,7 @@
 //! deadlock-free by construction. Quiescence is detected exactly with a
 //! global in-flight counter — incremented when an event (message, timer,
 //! reconfiguration, start credit) is created, decremented only after its
-//! callback *and* the flush of its effects complete — so a zero reading
+//! callback *and* the application of its effects complete — so a zero reading
 //! proves no event exists and none can be created. The coordinator then
 //! closes the transport and joins every worker: clean shutdown, no
 //! detached threads.
@@ -42,9 +42,10 @@ use std::time::{Duration, Instant};
 
 use swiper_core::EpochEvent;
 
+use crate::host::{Callback, Effect, NodeHost};
 use crate::metrics::Metrics;
-use crate::sim::{Context, NodeId, Protocol, RunReport};
-use crate::transport::{ChannelTransport, Envelope, Runtime, SendError, SendNodes, Transport};
+use crate::sim::{Protocol, RunReport};
+use crate::transport::{ChannelTransport, Envelope, SendError, SendNodes, Transport};
 use crate::twin::{DeliveryTrace, TraceEvent};
 use crate::MessageSize;
 
@@ -62,9 +63,6 @@ pub struct HistSummary {
     /// Number of deliveries measured.
     pub samples: u64,
 }
-
-/// The historical name of [`HistSummary`].
-pub type LatencySummary = HistSummary;
 
 impl HistSummary {
     /// Summarizes `samples` by nearest-rank percentiles. An empty vector —
@@ -235,60 +233,42 @@ impl<M: Send + Clone + MessageSize + 'static, T: Transport<M>> ThreadedRuntime<M
         let n = self.nodes.len();
         let workers = self.workers;
         let transport = &self.transport;
-        let max_events = self.max_events;
         let (thresholds, epochs): (Vec<u64>, Vec<EpochEvent>) =
             self.reconfigs.into_iter().unzip();
-
-        // In-flight event credits: n start credits, +1 per message/timer/
-        // per-node reconfiguration, -1 only after the event's callback and
-        // effect flush complete. Zero ⟺ quiescent.
-        let pending = AtomicI64::new(n as i64);
-        let processed = AtomicU64::new(0);
-        let dropped = AtomicU64::new(0);
-        let shutdown = AtomicBool::new(false);
-        let trace = Mutex::new(Vec::<TraceEvent>::new());
-        let start_at = Mutex::new(vec![0u64; n]);
-        let controls: Vec<Mutex<VecDeque<usize>>> =
-            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        let origin = Instant::now();
-        let clock = |origin: Instant| origin.elapsed().as_micros() as u64;
+        let shared = Shared {
+            n,
+            transport,
+            epochs: &epochs,
+            // In-flight event credits: n start credits, +1 per message/
+            // timer/per-node reconfiguration, -1 only after the event's
+            // callback and the application of its effects complete.
+            // Zero ⟺ quiescent.
+            pending: AtomicI64::new(n as i64),
+            processed: AtomicU64::new(0),
+            dropped: AtomicU64::new(0),
+            shutdown: AtomicBool::new(false),
+            trace: Mutex::new(Vec::new()),
+            start_at: Mutex::new(vec![0; n]),
+            controls: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
+            origin: Instant::now(),
+        };
 
         // Shard nodes round-robin across workers.
-        let mut shards: Vec<Shard<M>> = (0..workers).map(|_| Vec::new()).collect();
+        let mut shards: Vec<Vec<_>> = (0..workers).map(|_| Vec::new()).collect();
         for (i, node) in self.nodes.into_iter().enumerate() {
-            shards[i % workers].push((i, node));
+            shards[i % workers].push(NodeHost::new(i, node));
         }
 
         let mut injected = 0usize;
         let (outputs, metrics, latencies) = std::thread::scope(|s| {
-            let mut handles = Vec::with_capacity(workers);
-            for shard in shards {
-                let epochs = &epochs;
-                let pending = &pending;
-                let processed = &processed;
-                let dropped = &dropped;
-                let shutdown = &shutdown;
-                let trace = &trace;
-                let start_at = &start_at;
-                let controls = &controls;
-                handles.push(s.spawn(move || {
-                    worker_loop(WorkerEnv {
-                        shard,
-                        n,
-                        transport,
-                        epochs,
-                        pending,
-                        processed,
-                        dropped,
-                        shutdown,
-                        trace,
-                        start_at,
-                        controls,
-                        worker_count: workers,
-                        origin,
-                    })
-                }));
-            }
+            let shared = &shared;
+            let handles: Vec<_> = shards
+                .into_iter()
+                .enumerate()
+                .map(|(worker_ix, hosts)| {
+                    s.spawn(move || worker_loop(shared, worker_ix, hosts))
+                })
+                .collect();
 
             // Coordinator: inject due epochs, detect quiescence, enforce
             // the event cap, then shut down.
@@ -299,16 +279,11 @@ impl<M: Send + Clone + MessageSize + 'static, T: Transport<M>> ThreadedRuntime<M
                 // events that will never arrive: account them here like
                 // halted-node drops, or their pending credits would stall
                 // quiescence until the stall limit.
-                let d = transport.take_dropped();
-                if d > 0 {
-                    dropped.fetch_add(d, Ordering::SeqCst);
-                    processed.fetch_add(d, Ordering::SeqCst);
-                    pending.fetch_sub(d as i64, Ordering::SeqCst);
-                }
-                let done = processed.load(Ordering::SeqCst);
+                shared.account_drops(transport.take_dropped());
+                let done = shared.processed.load(Ordering::SeqCst);
                 while injected < thresholds.len() && thresholds[injected] <= done {
-                    pending.fetch_add(n as i64, Ordering::SeqCst);
-                    for c in controls.iter() {
+                    shared.pending.fetch_add(n as i64, Ordering::SeqCst);
+                    for c in &shared.controls {
                         c.lock().expect("control poisoned").push_back(injected);
                     }
                     injected += 1;
@@ -316,7 +291,7 @@ impl<M: Send + Clone + MessageSize + 'static, T: Transport<M>> ThreadedRuntime<M
                 // `<= 0`, not `== 0`: a drop can be accounted above in the
                 // same window its sender's credit lands, so the counter may
                 // pass through negative transients.
-                if pending.load(Ordering::SeqCst) <= 0 || done >= max_events {
+                if shared.pending.load(Ordering::SeqCst) <= 0 || done >= self.max_events {
                     break;
                 }
                 if done != last_progress.1 {
@@ -325,202 +300,172 @@ impl<M: Send + Clone + MessageSize + 'static, T: Transport<M>> ThreadedRuntime<M
                     break; // an automaton is stuck inside a callback
                 }
             }
-            shutdown.store(true, Ordering::SeqCst);
+            // Close before signalling shutdown: a worker that sees the
+            // signal and drains its inboxes then knows every later send
+            // fails as `Closed` and is drop-accounted by its sender.
             transport.close();
+            shared.shutdown.store(true, Ordering::SeqCst);
 
             let mut outputs: Vec<Option<Vec<u8>>> = vec![None; n];
             let mut metrics = Metrics::new(n);
             let mut latencies = Vec::new();
             for handle in handles {
-                let part = handle.join().expect("worker panicked");
-                for (node, out) in part.outputs {
-                    outputs[node] = out;
+                let worker = handle.join().expect("worker panicked");
+                for host in worker.hosts {
+                    let id = host.id();
+                    outputs[id] = host.into_output();
                 }
-                metrics.absorb(&part.metrics);
-                latencies.extend(part.latencies);
+                metrics.absorb(&worker.metrics);
+                latencies.extend(worker.latencies);
             }
             // Final sweep: envelopes the transport accepted that no worker
             // will ever pop (socket buffers emptied by `close`).
-            let d = transport.take_dropped();
-            if d > 0 {
-                dropped.fetch_add(d, Ordering::SeqCst);
-                processed.fetch_add(d, Ordering::SeqCst);
-                pending.fetch_sub(d as i64, Ordering::SeqCst);
-            }
+            shared.account_drops(transport.take_dropped());
             (outputs, metrics, latencies)
         });
 
-        let elapsed = clock(origin);
+        let report = RunReport {
+            outputs,
+            elapsed: shared.now(),
+            events: shared.processed.load(Ordering::SeqCst),
+            reconfigurations: injected as u64,
+            metrics,
+        };
+        let (wall, dropped) = (shared.origin.elapsed(), shared.dropped.load(Ordering::SeqCst));
         let trace = DeliveryTrace {
             n,
-            start_at: start_at.into_inner().expect("start stamps poisoned"),
-            events: trace.into_inner().expect("trace poisoned"),
+            start_at: shared.start_at.into_inner().expect("start stamps poisoned"),
+            events: shared.trace.into_inner().expect("trace poisoned"),
             epochs: epochs.into_iter().take(injected).collect(),
         };
         RuntimeReport {
-            report: RunReport {
-                outputs,
-                elapsed,
-                events: processed.load(Ordering::SeqCst),
-                reconfigurations: injected as u64,
-                metrics,
-            },
+            report,
             trace,
-            wall: origin.elapsed(),
+            wall,
             latency: HistSummary::from_samples(latencies),
-            dropped: dropped.load(Ordering::SeqCst),
+            dropped,
         }
     }
 }
 
-impl<M: Send + Clone + MessageSize + 'static, T: Transport<M>> Runtime<M>
-    for ThreadedRuntime<M, T>
-{
-    fn backend(&self) -> &'static str {
-        "threaded"
-    }
-
-    fn run(self) -> RunReport {
-        self.run_traced().report
-    }
-}
-
-/// One worker's slice of the population: `(node id, automaton)` pairs.
-type Shard<M> = Vec<(NodeId, Box<dyn Protocol<Msg = M> + Send>)>;
-
-/// Shared environment one worker operates in.
-struct WorkerEnv<'a, M, T: Transport<M>> {
-    shard: Shard<M>,
+/// What every worker and the coordinator share.
+struct Shared<'a, T> {
     n: usize,
     transport: &'a T,
     epochs: &'a [EpochEvent],
-    pending: &'a AtomicI64,
-    processed: &'a AtomicU64,
-    dropped: &'a AtomicU64,
-    shutdown: &'a AtomicBool,
-    trace: &'a Mutex<Vec<TraceEvent>>,
-    start_at: &'a Mutex<Vec<u64>>,
-    controls: &'a [Mutex<VecDeque<usize>>],
-    worker_count: usize,
+    pending: AtomicI64,
+    processed: AtomicU64,
+    dropped: AtomicU64,
+    shutdown: AtomicBool,
+    trace: Mutex<Vec<TraceEvent>>,
+    start_at: Mutex<Vec<u64>>,
+    /// Per-worker queues of epoch indices to apply.
+    controls: Vec<Mutex<VecDeque<usize>>>,
     origin: Instant,
 }
 
-/// What one worker hands back at shutdown.
-struct WorkerPart {
-    outputs: Vec<(NodeId, Option<Vec<u8>>)>,
+impl<T> Shared<'_, T> {
+    /// Monotonic tick: microseconds since the run started.
+    fn now(&self) -> u64 {
+        self.origin.elapsed().as_micros() as u64
+    }
+
+    /// Accounts `count` message envelopes that will never reach a live
+    /// callback: the same bookkeeping as a delivery to a halted node —
+    /// each counts as a processed event and releases its pending credit,
+    /// but runs no callback, records no delivery and is never traced. The
+    /// `dropped` tally is what keeps `total_messages == delivered_messages
+    /// + dropped` exact.
+    fn account_drops(&self, count: u64) {
+        self.processed.fetch_add(count, Ordering::SeqCst);
+        self.dropped.fetch_add(count, Ordering::SeqCst);
+        self.pending.fetch_sub(count as i64, Ordering::SeqCst);
+    }
+}
+
+/// One worker's own state: its shard of hosted nodes and the parts of
+/// the send path no other thread touches. The coordinator reads its
+/// hosts' outputs, metrics and latencies when it joins the worker.
+struct Worker<'s, 'a, M, T> {
+    shared: &'s Shared<'a, T>,
+    hosts: Vec<NodeHost<dyn Protocol<Msg = M> + Send>>,
     metrics: Metrics,
     latencies: Vec<u64>,
+    /// Backpressured envelopes, retried in order so this worker's sends
+    /// stay FIFO even across a full link.
+    retry: VecDeque<Envelope<M>>,
+    /// One callback's sends, held back until its trace entry is recorded.
+    outbox: Vec<Envelope<M>>,
+    /// (due, slot in `hosts`, timer_ix, id), soonest first.
+    timers: BinaryHeap<Reverse<(u64, usize, u64, u64)>>,
 }
 
-/// Accounts one message envelope that will never reach a live callback:
-/// the same bookkeeping as a delivery to a halted node — it counts as a
-/// processed event and releases its pending credit, but runs no callback,
-/// records no delivery and is never traced. The `dropped` tally is what
-/// keeps `total_messages == delivered_messages + dropped` exact.
-fn account_drop(pending: &AtomicI64, processed: &AtomicU64, dropped: &AtomicU64) {
-    processed.fetch_add(1, Ordering::SeqCst);
-    dropped.fetch_add(1, Ordering::SeqCst);
-    pending.fetch_sub(1, Ordering::SeqCst);
-}
-
-/// Per-hosted-node bookkeeping the worker owns.
-struct Hosted<M> {
-    id: NodeId,
-    node: Box<dyn Protocol<Msg = M> + Send>,
-    next_send_ix: u64,
-    next_timer_ix: u64,
-    halted: bool,
-    output: Option<Vec<u8>>,
-}
-
-fn worker_loop<M: Send + Clone + MessageSize, T: Transport<M>>(
-    mut env: WorkerEnv<'_, M, T>,
-) -> WorkerPart {
-    let worker_ix = env.shard.first().map_or(0, |(id, _)| id % env.worker_count);
-    let mut hosted: Vec<Hosted<M>> = std::mem::take(&mut env.shard)
-        .into_iter()
-        .map(|(id, node)| Hosted {
-            id,
-            node,
-            next_send_ix: 0,
-            next_timer_ix: 0,
-            halted: false,
-            output: None,
-        })
-        .collect();
-    let mut metrics = Metrics::new(env.n);
-    let mut latencies: Vec<u64> = Vec::new();
-    // Backpressured envelopes, retried in order so this worker's sends
-    // stay FIFO even across a full link.
-    let mut pending_out: VecDeque<Envelope<M>> = VecDeque::new();
-    // (due, slot-in-hosted, timer_ix, id), soonest first.
-    let mut timers: BinaryHeap<Reverse<(u64, usize, u64, u64)>> = BinaryHeap::new();
-    let now = |env: &WorkerEnv<'_, M, T>| env.origin.elapsed().as_micros() as u64;
-
-    // Flush one callback's effects: record the trace entry *first* (so the
-    // global order stays causally consistent — no receiver can process a
-    // message before its send's parent event is on record), then hand the
-    // sends to the transport with per-sender indices assigned in staging
-    // order.
-    #[allow(clippy::too_many_arguments)]
-    fn flush<M: Send + Clone + MessageSize, T: Transport<M>>(
-        env: &WorkerEnv<'_, M, T>,
-        host: &mut Hosted<M>,
-        ctx: Context<M>,
-        entry: Option<TraceEvent>,
-        metrics: &mut Metrics,
-        pending_out: &mut VecDeque<Envelope<M>>,
-        timers: &mut BinaryHeap<Reverse<(u64, usize, u64, u64)>>,
+impl<M: Send + Clone + MessageSize, T: Transport<M>> Worker<'_, '_, M, T> {
+    /// Runs `callback` on the node in `slot` at tick `at` and applies its
+    /// effects. Timers go to this worker's heap; the trace entry is
+    /// recorded *before* any send becomes visible (so the global order
+    /// stays causally consistent — no receiver can process a message
+    /// before its send's parent event is on record); then the sends go to
+    /// the transport in staging order.
+    fn call(
+        &mut self,
         slot: usize,
         at: u64,
+        callback: Callback<'_, M>,
+        entry: Option<TraceEvent>,
     ) {
-        if let Some(entry) = entry {
-            env.trace.lock().expect("trace poisoned").push(entry);
-        }
-        let effects = ctx.into_effects();
-        if let Some(out) = effects.output {
-            if host.output.is_none() {
-                host.output = Some(out);
+        let sh = self.shared;
+        let Worker { hosts, metrics, outbox, timers, .. } = self;
+        let from = hosts[slot].id();
+        hosts[slot].run(sh.n, at, callback, metrics, |effect| match effect {
+            Effect::Send { ix, to, msg } => {
+                outbox.push(Envelope { from, to, send_ix: ix, sent_at: at, msg })
             }
+            Effect::Timer { ix, delay, id } => {
+                sh.pending.fetch_add(1, Ordering::SeqCst);
+                timers.push(Reverse((at + delay.max(1), slot, ix, id)));
+            }
+        });
+        if let Some(entry) = entry {
+            sh.trace.lock().expect("trace poisoned").push(entry);
         }
-        if effects.halted {
-            host.halted = true;
-        }
-        for (to, msg) in effects.outbox {
-            metrics.record_send(host.id, msg.size_bytes());
-            let send_ix = host.next_send_ix;
-            host.next_send_ix += 1;
-            let envlp = Envelope { from: host.id, to, send_ix, sent_at: at, msg };
-            env.pending.fetch_add(1, Ordering::SeqCst);
-            if !pending_out.is_empty() {
-                pending_out.push_back(envlp);
+        for envlp in self.outbox.drain(..) {
+            sh.pending.fetch_add(1, Ordering::SeqCst);
+            if !self.retry.is_empty() {
+                self.retry.push_back(envlp);
                 continue;
             }
-            match env.transport.try_send(envlp) {
+            match sh.transport.try_send(envlp) {
                 Ok(()) => {}
-                Err(SendError::Full(e)) => pending_out.push_back(e),
-                Err(SendError::Closed(_)) => {
-                    account_drop(env.pending, env.processed, env.dropped);
-                }
+                Err(SendError::Full(e)) => self.retry.push_back(e),
+                Err(SendError::Closed(_)) => sh.account_drops(1),
             }
         }
-        for (delay, id) in effects.timers {
-            let timer_ix = host.next_timer_ix;
-            host.next_timer_ix += 1;
-            env.pending.fetch_add(1, Ordering::SeqCst);
-            timers.push(Reverse((at + delay.max(1), slot, timer_ix, id)));
-        }
     }
+}
+
+fn worker_loop<'s, 'a, M: Send + Clone + MessageSize, T: Transport<M>>(
+    sh: &'s Shared<'a, T>,
+    worker_ix: usize,
+    hosts: Vec<NodeHost<dyn Protocol<Msg = M> + Send>>,
+) -> Worker<'s, 'a, M, T> {
+    let mut w = Worker {
+        shared: sh,
+        hosts,
+        metrics: Metrics::new(sh.n),
+        latencies: Vec::new(),
+        retry: VecDeque::new(),
+        outbox: Vec::new(),
+        timers: BinaryHeap::new(),
+    };
 
     // Time zero: every hosted node starts before this worker consumes any
     // traffic; inbound envelopes simply queue in the transport meanwhile.
-    for (slot, host) in hosted.iter_mut().enumerate() {
-        let at = now(&env);
-        env.start_at.lock().expect("start stamps poisoned")[host.id] = at;
-        let mut ctx = Context::detached(host.id, env.n, at);
-        host.node.on_start(&mut ctx);
-        flush(&env, host, ctx, None, &mut metrics, &mut pending_out, &mut timers, slot, at);
-        env.pending.fetch_sub(1, Ordering::SeqCst); // start credit
+    for slot in 0..w.hosts.len() {
+        let at = sh.now();
+        sh.start_at.lock().expect("start stamps poisoned")[w.hosts[slot].id()] = at;
+        w.call(slot, at, Callback::Start, None);
+        sh.pending.fetch_sub(1, Ordering::SeqCst); // start credit
     }
 
     let mut idle_spins = 0u32;
@@ -529,120 +474,73 @@ fn worker_loop<M: Send + Clone + MessageSize, T: Transport<M>>(
 
         // 1. Epoch controls: apply to every hosted node, between callbacks.
         loop {
-            let next = env.controls[worker_ix].lock().expect("control poisoned").pop_front();
+            let next = sh.controls[worker_ix].lock().expect("control poisoned").pop_front();
             let Some(epoch_ix) = next else { break };
             did_work = true;
-            for (slot, host) in hosted.iter_mut().enumerate() {
-                let at = now(&env);
-                if host.halted {
-                    env.pending.fetch_sub(1, Ordering::SeqCst);
-                    continue;
+            for slot in 0..w.hosts.len() {
+                let (at, to) = (sh.now(), w.hosts[slot].id());
+                if !w.hosts[slot].halted() {
+                    let entry = TraceEvent::Epoch { to, epoch_ix, at };
+                    w.call(slot, at, Callback::Epoch(&sh.epochs[epoch_ix]), Some(entry));
                 }
-                let id = host.id;
-                let mut ctx = Context::detached(id, env.n, at);
-                host.node.on_reconfigure(&env.epochs[epoch_ix], &mut ctx);
-                flush(
-                    &env,
-                    host,
-                    ctx,
-                    Some(TraceEvent::Epoch { to: id, epoch_ix, at }),
-                    &mut metrics,
-                    &mut pending_out,
-                    &mut timers,
-                    slot,
-                    at,
-                );
-                env.pending.fetch_sub(1, Ordering::SeqCst);
+                sh.pending.fetch_sub(1, Ordering::SeqCst);
             }
         }
 
         // 2. Retry backpressured sends, strictly in order.
-        while let Some(envlp) = pending_out.pop_front() {
-            match env.transport.try_send(envlp) {
+        while let Some(envlp) = w.retry.pop_front() {
+            match sh.transport.try_send(envlp) {
                 Ok(()) => did_work = true,
                 Err(SendError::Full(e)) => {
-                    pending_out.push_front(e);
+                    w.retry.push_front(e);
                     break;
                 }
-                Err(SendError::Closed(_)) => {
-                    account_drop(env.pending, env.processed, env.dropped);
-                }
+                Err(SendError::Closed(_)) => sh.account_drops(1),
             }
         }
 
         // 3. Fire due timers.
-        while let Some(&Reverse((due, slot, timer_ix, id))) = timers.peek() {
-            let at = now(&env);
+        while let Some(&Reverse((due, slot, timer_ix, id))) = w.timers.peek() {
+            let at = sh.now();
             if due > at {
                 break;
             }
-            timers.pop();
+            w.timers.pop();
             did_work = true;
-            env.processed.fetch_add(1, Ordering::SeqCst);
-            let host = &mut hosted[slot];
-            if host.halted {
-                env.pending.fetch_sub(1, Ordering::SeqCst);
-                continue;
+            sh.processed.fetch_add(1, Ordering::SeqCst);
+            if !w.hosts[slot].halted() {
+                let entry = TraceEvent::Timer { to: w.hosts[slot].id(), timer_ix, id, at };
+                w.call(slot, at, Callback::Timer { id }, Some(entry));
             }
-            let host_id = host.id;
-            let mut ctx = Context::detached(host_id, env.n, at);
-            host.node.on_timer(id, &mut ctx);
-            flush(
-                &env,
-                &mut hosted[slot],
-                ctx,
-                Some(TraceEvent::Timer { to: host_id, timer_ix, id, at }),
-                &mut metrics,
-                &mut pending_out,
-                &mut timers,
-                slot,
-                at,
-            );
-            env.pending.fetch_sub(1, Ordering::SeqCst);
+            sh.pending.fetch_sub(1, Ordering::SeqCst);
         }
 
         // 4. Drain inbound traffic, a bounded batch per node per pass so
         // timers and controls stay serviced under load.
-        for (slot, host) in hosted.iter_mut().enumerate() {
+        for slot in 0..w.hosts.len() {
+            let to = w.hosts[slot].id();
             for _ in 0..32 {
-                let Some(envlp) = env.transport.try_recv(host.id) else { break };
+                let Some(envlp) = sh.transport.try_recv(to) else { break };
                 did_work = true;
-                let at = now(&env);
-                if host.halted {
+                let at = sh.now();
+                if w.hosts[slot].halted() {
                     // Parity with the simulator: deliveries to a halted
                     // node count as events but run no callback (and are
                     // not traced — the twin never sees them). They are
                     // drops for the message conservation law.
-                    account_drop(env.pending, env.processed, env.dropped);
+                    sh.account_drops(1);
                     continue;
                 }
-                env.processed.fetch_add(1, Ordering::SeqCst);
-                latencies.push(at.saturating_sub(envlp.sent_at));
-                metrics.record_delivery(host.id, envlp.msg.size_bytes());
-                let host_id = host.id;
-                let mut ctx = Context::detached(host_id, env.n, at);
-                host.node.on_message(envlp.from, envlp.msg, &mut ctx);
-                flush(
-                    &env,
-                    host,
-                    ctx,
-                    Some(TraceEvent::Deliver {
-                        to: host_id,
-                        from: envlp.from,
-                        send_ix: envlp.send_ix,
-                        at,
-                    }),
-                    &mut metrics,
-                    &mut pending_out,
-                    &mut timers,
-                    slot,
-                    at,
-                );
-                env.pending.fetch_sub(1, Ordering::SeqCst);
+                sh.processed.fetch_add(1, Ordering::SeqCst);
+                w.latencies.push(at.saturating_sub(envlp.sent_at));
+                let Envelope { from, send_ix, msg, .. } = envlp;
+                let entry = TraceEvent::Deliver { to, from, send_ix, at };
+                w.call(slot, at, Callback::Message { from, msg }, Some(entry));
+                sh.pending.fetch_sub(1, Ordering::SeqCst);
             }
         }
 
-        if env.shutdown.load(Ordering::SeqCst) {
+        if sh.shutdown.load(Ordering::SeqCst) {
             break;
         }
         if did_work {
@@ -662,25 +560,20 @@ fn worker_loop<M: Send + Clone + MessageSize, T: Transport<M>>(
     // nodes' inboxes may still hold envelopes whose pending credits were
     // taken at send time. Every one must be drop-accounted, or the run
     // leaks credits and reports a miscounted event total.
-    for _ in pending_out.drain(..) {
-        account_drop(env.pending, env.processed, env.dropped);
-    }
-    for host in &hosted {
-        while env.transport.try_recv(host.id).is_some() {
-            account_drop(env.pending, env.processed, env.dropped);
+    sh.account_drops(w.retry.len() as u64);
+    for host in &w.hosts {
+        while sh.transport.try_recv(host.id()).is_some() {
+            sh.account_drops(1);
         }
     }
 
-    WorkerPart {
-        outputs: hosted.into_iter().map(|h| (h.id, h.output)).collect(),
-        metrics,
-        latencies,
-    }
+    w
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::{Context, NodeId};
 
     /// Each node broadcasts its id once; outputs the sum of ids received.
     struct Summer {
@@ -769,7 +662,7 @@ mod tests {
             }
         }
         let nodes: SendNodes<u64> = (0..3).map(|_| Box::new(Chatter) as _).collect();
-        let report = ThreadedRuntime::new(nodes).with_max_events(500).run();
+        let report = ThreadedRuntime::new(nodes).with_max_events(500).run_traced().report;
         assert!(report.events >= 500, "cap is a floor for the stop decision");
         assert!(report.outputs.iter().all(|o| o.is_none()));
     }
@@ -844,9 +737,6 @@ mod tests {
         assert_eq!(s.p95_us, 95);
         assert_eq!(s.p99_us, 99);
         assert_eq!(s.samples, 100);
-        // The historical alias keeps downstream code compiling.
-        let also: LatencySummary = s;
-        assert_eq!(also, s);
     }
 
     #[test]

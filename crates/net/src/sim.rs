@@ -8,8 +8,9 @@ use rand::{Rng, SeedableRng};
 use swiper_core::EpochEvent;
 
 use crate::adversary::AdaptiveDelay;
+use crate::host::{Callback, Effect, NodeHost};
 use crate::metrics::Metrics;
-use crate::transport::{Delivery, Runtime};
+use crate::transport::Delivery;
 use crate::MessageSize;
 
 /// Index of a node in the simulation (`0..n`).
@@ -43,7 +44,11 @@ pub struct Effects<M> {
 }
 
 impl<M> Context<M> {
-    fn new(node: NodeId, n: usize, now: u64) -> Self {
+    /// Creates an empty context for one callback of `node` at tick `now`.
+    /// Executors make one per callback; wrappers that run inner automata
+    /// (black-box virtual users) make their own and route the effects
+    /// themselves.
+    pub fn detached(node: NodeId, n: usize, now: u64) -> Self {
         Context {
             node,
             n,
@@ -53,13 +58,6 @@ impl<M> Context<M> {
             output: None,
             halted: false,
         }
-    }
-
-    /// Creates a context not owned by a simulation — for wrappers that run
-    /// inner automata (black-box virtual users) and route the effects
-    /// themselves.
-    pub fn detached(node: NodeId, n: usize, now: u64) -> Self {
-        Context::new(node, n, now)
     }
 
     /// Consumes the context, returning its accumulated side effects.
@@ -159,10 +157,11 @@ pub trait Protocol {
     fn on_timer(&mut self, _id: u64, _ctx: &mut Context<Self::Msg>) {}
 
     /// Invoked when an epoch reconfiguration reaches this node (see
-    /// [`EpochedSimulation`]): the common-knowledge [`EpochEvent`] carries
-    /// the epoch's `TicketDelta` **and the new per-party weight vector**
-    /// (plus a deterministic rekey seed), and the node should splice the
-    /// change into its live state instead of tearing the instance down.
+    /// [`Simulation::with_reconfiguration`]): the common-knowledge
+    /// [`EpochEvent`] carries the epoch's `TicketDelta` **and the new
+    /// per-party weight vector** (plus a deterministic rekey seed), and
+    /// the node should splice the change into its live state instead of
+    /// tearing the instance down.
     /// Weights are the live input of a weighted protocol — an event that
     /// renumbered identities but froze stake would be only half a
     /// reconfiguration, so the ticket-only `on_reconfigure(&TicketDelta)`
@@ -241,18 +240,12 @@ impl DelayModel {
     }
 }
 
-#[derive(Debug)]
-enum Payload<M> {
-    Message { from: NodeId, msg: M },
-    Timer { id: u64 },
-}
-
-#[derive(Debug)]
+/// A queued delivery or timer fire (a `Message` or `Timer` callback).
 struct Event<M> {
     time: u64,
     seq: u64,
     to: NodeId,
-    payload: Payload<M>,
+    callback: Callback<'static, M>,
 }
 
 impl<M> PartialEq for Event<M> {
@@ -281,7 +274,7 @@ pub struct RunReport {
     pub elapsed: u64,
     /// Events processed.
     pub events: u64,
-    /// Reconfigurations injected (see [`EpochedSimulation`]).
+    /// Reconfigurations injected (see [`Simulation::with_reconfiguration`]).
     pub reconfigurations: u64,
     /// Communication counters.
     pub metrics: Metrics,
@@ -344,8 +337,7 @@ impl RunReport {
 /// assert!(report.outputs.iter().all(|o| o.as_deref() == Some(b"done".as_ref())));
 /// ```
 pub struct Simulation<M> {
-    nodes: Vec<Box<dyn Protocol<Msg = M>>>,
-    halted: Vec<bool>,
+    hosts: Vec<NodeHost<dyn Protocol<Msg = M>>>,
     queue: BinaryHeap<Reverse<Event<M>>>,
     rng: StdRng,
     delay: DelayModel,
@@ -357,7 +349,6 @@ pub struct Simulation<M> {
     time: u64,
     max_events: u64,
     metrics: Metrics,
-    outputs: Vec<Option<Vec<u8>>>,
 }
 
 impl<M: Clone + MessageSize> Simulation<M> {
@@ -366,8 +357,11 @@ impl<M: Clone + MessageSize> Simulation<M> {
     pub fn new(nodes: Vec<Box<dyn Protocol<Msg = M>>>, seed: u64) -> Self {
         let n = nodes.len();
         Simulation {
-            nodes,
-            halted: vec![false; n],
+            hosts: nodes
+                .into_iter()
+                .enumerate()
+                .map(|(id, node)| NodeHost::new(id, node))
+                .collect(),
             queue: BinaryHeap::new(),
             rng: StdRng::seed_from_u64(seed),
             delay: DelayModel::Uniform(1, 16),
@@ -378,7 +372,6 @@ impl<M: Clone + MessageSize> Simulation<M> {
             time: 0,
             max_events: 2_000_000,
             metrics: Metrics::new(n),
-            outputs: vec![None; n],
         }
     }
 
@@ -404,9 +397,52 @@ impl<M: Clone + MessageSize> Simulation<M> {
 
     /// Schedules an epoch reconfiguration: once `at_event` events have
     /// been processed, every non-halted node receives
-    /// [`Protocol::on_reconfigure`] with `event` before the next delivery.
-    /// Multiple reconfigurations compose in event order;
-    /// [`EpochedSimulation`] is the builder for whole epoch schedules.
+    /// [`Protocol::on_reconfigure`] with `event` before the next delivery
+    /// — also when the run's last event brings the count to `at_event`,
+    /// after which the run continues on whatever the callbacks emit.
+    ///
+    /// The call models the common-knowledge moment at which all replicas
+    /// learn the new epoch's ticket assignment *and stake distribution*.
+    /// Messages already in flight were sent under the old assignment and
+    /// are still delivered afterwards — protocols that embed virtual-user
+    /// ids in their messages must translate across the boundary (see
+    /// `swiper-protocols`' black-box wrapper for the reference
+    /// implementation). Chained calls compose a whole epoch schedule in
+    /// event order; each delta must be diffed against the assignment the
+    /// previous one produced (and each event's weights follow its
+    /// predecessor's).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use swiper_core::{EpochEvent, TicketAssignment, TicketDelta, Weights};
+    /// use swiper_net::{Context, NodeId, Protocol, Simulation};
+    ///
+    /// /// Counts reconfigurations; outputs the count at quiescence.
+    /// struct EpochCounter { seen: u8 }
+    /// impl Protocol for EpochCounter {
+    ///     type Msg = u64;
+    ///     fn on_start(&mut self, ctx: &mut Context<u64>) {
+    ///         ctx.broadcast(1);
+    ///     }
+    ///     fn on_message(&mut self, _f: NodeId, _m: u64, ctx: &mut Context<u64>) {
+    ///         ctx.output(vec![self.seen]);
+    ///     }
+    ///     fn on_reconfigure(&mut self, _e: &EpochEvent, _ctx: &mut Context<u64>) {
+    ///         self.seen += 1;
+    ///     }
+    /// }
+    ///
+    /// let old = TicketAssignment::new(vec![1, 1]);
+    /// let new = TicketAssignment::new(vec![2, 1]);
+    /// let delta = TicketDelta::between(&old, &new).unwrap();
+    /// let stake = Weights::new(vec![6, 4]).unwrap();
+    /// let event = EpochEvent::new(1, delta, &stake, stake.clone(), 0).unwrap();
+    /// let nodes: Vec<Box<dyn Protocol<Msg = u64>>> =
+    ///     (0..2).map(|_| Box::new(EpochCounter { seen: 0 }) as _).collect();
+    /// let report = Simulation::new(nodes, 7).with_reconfiguration(1, event).run();
+    /// assert_eq!(report.reconfigurations, 1);
+    /// ```
     pub fn with_reconfiguration(mut self, at_event: u64, event: EpochEvent) -> Self {
         let pos = self.reconfigs.partition_point(|(at, _)| *at <= at_event);
         self.reconfigs.insert(pos, (at_event, event));
@@ -415,243 +451,78 @@ impl<M: Clone + MessageSize> Simulation<M> {
 
     /// Number of nodes.
     pub fn n(&self) -> usize {
-        self.nodes.len()
+        self.hosts.len()
     }
 
-    fn flush(&mut self, node: NodeId, ctx: Context<M>) {
-        let Context { outbox, timers, output, halted, .. } = ctx;
-        if let Some(out) = output {
-            if self.outputs[node].is_none() {
-                self.outputs[node] = Some(out);
-            }
-        }
-        if halted {
-            self.halted[node] = true;
-        }
+    /// Runs `callback` on `node` at the current time and queues its sends
+    /// (self-sends take zero time, others a seeded delay) and timers (at
+    /// least one tick). The host's ascending recipient order and the
+    /// zero-delay self-send rule fix the seeded delay stream, which every
+    /// pinned seed in the test suite depends on.
+    fn call(&mut self, node: NodeId, callback: Callback<'_, M>) {
         let n = self.n();
-        // Expand symbolic broadcasts into ascending per-recipient sends.
-        // Recipient order (and the skip-self rule below) must match the
-        // eager-clone era exactly so seeded delay streams — and therefore
-        // every pinned seed in the test suite — are unchanged.
-        let mut sends = Vec::with_capacity(outbox.len());
-        for d in outbox {
-            d.expand_into(n, &mut sends);
-        }
-        for (to, msg) in sends {
-            self.metrics.record_send(node, msg.size_bytes());
-            let delay = if to == node {
-                0
-            } else if let Some(adaptive) = &self.adaptive {
-                adaptive.sample(&mut self.rng, node, n, &msg)
-            } else {
-                self.delay.sample(&mut self.rng, node, n)
+        let Simulation { hosts, queue, rng, delay, adaptive, seq, time, metrics, .. } = self;
+        hosts[node].run(n, *time, callback, metrics, |effect| {
+            let (after, to, callback) = match effect {
+                Effect::Send { to, msg, .. } => {
+                    let after = if to == node {
+                        0
+                    } else if let Some(adaptive) = adaptive {
+                        adaptive.sample(rng, node, n, &msg)
+                    } else {
+                        delay.sample(rng, node, n)
+                    };
+                    (after, to, Callback::Message { from: node, msg })
+                }
+                Effect::Timer { delay, id, .. } => (delay.max(1), node, Callback::Timer { id }),
             };
-            self.seq += 1;
-            self.queue.push(Reverse(Event {
-                time: self.time + delay,
-                seq: self.seq,
-                to,
-                payload: Payload::Message { from: node, msg },
-            }));
-        }
-        for (delay, id) in timers {
-            self.seq += 1;
-            self.queue.push(Reverse(Event {
-                time: self.time + delay.max(1),
-                seq: self.seq,
-                to: node,
-                payload: Payload::Timer { id },
-            }));
-        }
+            *seq += 1;
+            queue.push(Reverse(Event { time: *time + after, seq: *seq, to, callback }));
+        });
     }
 
     /// Runs to quiescence (or the event cap) and reports.
     pub fn run(mut self) -> RunReport {
         let n = self.n();
         for node in 0..n {
-            let mut ctx = Context::new(node, n, 0);
-            self.nodes[node].on_start(&mut ctx);
-            self.flush(node, ctx);
+            self.call(node, Callback::Start);
         }
         let mut events = 0u64;
-        while let Some(Reverse(ev)) = self.queue.pop() {
-            if events >= self.max_events {
-                break;
-            }
+        while events < self.max_events {
             // The boundary shares the upcoming delivery's timestamp:
             // advancing the clock *before* applying reconfigurations
             // keeps simulated time monotone — effects emitted from
-            // `on_reconfigure` are stamped at `ev.time + delay`, never
-            // before an event that already popped.
-            self.time = ev.time;
+            // `on_reconfigure` are stamped at or after that delivery,
+            // and queue behind it.
+            if let Some(Reverse(next)) = self.queue.peek() {
+                self.time = next.time;
+            }
             // Epoch boundaries: apply every reconfiguration scheduled at
             // or before the current event count, in order, before the
-            // next delivery. In-flight messages sent under the old
-            // assignment stay queued and are delivered afterwards —
-            // surviving protocol state must cope (the `on_reconfigure`
-            // contract).
+            // next delivery — or once the queue has drained. In-flight
+            // messages sent under the old assignment stay queued and are
+            // delivered afterwards — surviving protocol state must cope
+            // (the `on_reconfigure` contract).
             while self.reconfigs.front().is_some_and(|(at, _)| *at <= events) {
                 let (_, event) = self.reconfigs.pop_front().expect("front checked");
                 self.reconfigs_applied += 1;
                 for node in 0..n {
-                    if self.halted[node] {
-                        continue;
-                    }
-                    let mut ctx = Context::new(node, n, self.time);
-                    self.nodes[node].on_reconfigure(&event, &mut ctx);
-                    self.flush(node, ctx);
+                    self.call(node, Callback::Epoch(&event));
                 }
             }
+            let Some(Reverse(ev)) = self.queue.pop() else { break };
+            self.time = ev.time;
             events += 1;
-            let node = ev.to;
-            if self.halted[node] {
-                continue;
-            }
-            let mut ctx = Context::new(node, n, self.time);
-            match ev.payload {
-                Payload::Message { from, msg } => {
-                    self.metrics.record_delivery(node, msg.size_bytes());
-                    self.nodes[node].on_message(from, msg, &mut ctx);
-                }
-                Payload::Timer { id } => self.nodes[node].on_timer(id, &mut ctx),
-            }
-            self.flush(node, ctx);
+            // A halted node's host runs nothing: the event still counts.
+            self.call(ev.to, ev.callback);
         }
         RunReport {
-            outputs: self.outputs,
+            outputs: self.hosts.into_iter().map(NodeHost::into_output).collect(),
             elapsed: self.time,
             events,
             reconfigurations: self.reconfigs_applied,
             metrics: self.metrics,
         }
-    }
-}
-
-/// Driver for live-instance epoch reconfiguration: a [`Simulation`] plus a
-/// schedule of [`EpochEvent`]s injected at configured event counts.
-///
-/// Each injection delivers [`Protocol::on_reconfigure`] to every
-/// non-halted node *between* two event deliveries, modelling the
-/// common-knowledge moment at which all replicas learn the new epoch's
-/// ticket assignment *and stake distribution*. Messages already in flight
-/// were sent under the old assignment and are still delivered afterwards
-/// — protocols that embed
-/// virtual-user ids in their messages must translate across the boundary
-/// (see `swiper-protocols`' black-box wrapper for the reference
-/// implementation).
-///
-/// # Examples
-///
-/// ```
-/// use swiper_core::{EpochEvent, TicketAssignment, TicketDelta, Weights};
-/// use swiper_net::{Context, EpochedSimulation, NodeId, Protocol};
-///
-/// /// Counts reconfigurations; outputs the count at quiescence.
-/// struct EpochCounter { seen: u8 }
-/// impl Protocol for EpochCounter {
-///     type Msg = u64;
-///     fn on_start(&mut self, ctx: &mut Context<u64>) {
-///         ctx.broadcast(1);
-///     }
-///     fn on_message(&mut self, _f: NodeId, _m: u64, ctx: &mut Context<u64>) {
-///         ctx.output(vec![self.seen]);
-///     }
-///     fn on_reconfigure(&mut self, _e: &EpochEvent, _ctx: &mut Context<u64>) {
-///         self.seen += 1;
-///     }
-/// }
-///
-/// let old = TicketAssignment::new(vec![1, 1]);
-/// let new = TicketAssignment::new(vec![2, 1]);
-/// let delta = TicketDelta::between(&old, &new).unwrap();
-/// let stake = Weights::new(vec![6, 4]).unwrap();
-/// let event = EpochEvent::new(1, delta, &stake, stake.clone(), 0).unwrap();
-/// let nodes: Vec<Box<dyn Protocol<Msg = u64>>> =
-///     (0..2).map(|_| Box::new(EpochCounter { seen: 0 }) as _).collect();
-/// let report = EpochedSimulation::new(nodes, 7).inject_at(1, event).run();
-/// assert_eq!(report.reconfigurations, 1);
-/// ```
-pub struct EpochedSimulation<M> {
-    sim: Simulation<M>,
-}
-
-impl<M: Clone + MessageSize> EpochedSimulation<M> {
-    /// Creates the driver over the given node automata and seed.
-    pub fn new(nodes: Vec<Box<dyn Protocol<Msg = M>>>, seed: u64) -> Self {
-        EpochedSimulation { sim: Simulation::new(nodes, seed) }
-    }
-
-    /// Wraps an already-configured simulation.
-    pub fn from_simulation(sim: Simulation<M>) -> Self {
-        EpochedSimulation { sim }
-    }
-
-    /// Sets the delay model (builder style).
-    pub fn with_delay(mut self, delay: DelayModel) -> Self {
-        self.sim = self.sim.with_delay(delay);
-        self
-    }
-
-    /// Installs an adversarial per-message-type delay model.
-    pub fn with_adaptive_delay(mut self, adaptive: AdaptiveDelay<M>) -> Self {
-        self.sim = self.sim.with_adaptive_delay(adaptive);
-        self
-    }
-
-    /// Caps the number of processed events.
-    pub fn with_max_events(mut self, max: u64) -> Self {
-        self.sim = self.sim.with_max_events(max);
-        self
-    }
-
-    /// Schedules `event` for injection once `at_event` events have been
-    /// processed. Events compose in event order; each delta must be
-    /// diffed against the assignment the previous one produced (and each
-    /// event's weights follow its predecessor's).
-    pub fn inject_at(mut self, at_event: u64, event: EpochEvent) -> Self {
-        self.sim = self.sim.with_reconfiguration(at_event, event);
-        self
-    }
-
-    /// Schedules a whole epoch chain: each `(at_event, event)` pair is
-    /// injected in order. Shrinking and renumbering deltas — and
-    /// stake-drifting weight vectors — are first-class: the schedule is
-    /// exactly what a churned multi-epoch replay (mixed joins, leaves and
-    /// live renumbering every epoch, weights refreshed each epoch) hands
-    /// the driver.
-    pub fn inject_schedule<I>(mut self, schedule: I) -> Self
-    where
-        I: IntoIterator<Item = (u64, EpochEvent)>,
-    {
-        for (at_event, event) in schedule {
-            self.sim = self.sim.with_reconfiguration(at_event, event);
-        }
-        self
-    }
-
-    /// Runs to quiescence (or the event cap) and reports.
-    pub fn run(self) -> RunReport {
-        self.sim.run()
-    }
-}
-
-impl<M: Clone + MessageSize> Runtime<M> for Simulation<M> {
-    fn backend(&self) -> &'static str {
-        "sim"
-    }
-
-    fn run(self) -> RunReport {
-        Simulation::run(self)
-    }
-}
-
-impl<M: Clone + MessageSize> Runtime<M> for EpochedSimulation<M> {
-    fn backend(&self) -> &'static str {
-        "sim"
-    }
-
-    fn run(self) -> RunReport {
-        EpochedSimulation::run(self)
     }
 }
 
@@ -961,7 +832,10 @@ mod tests {
         ];
         let nodes: Vec<Box<dyn Protocol<Msg = u64>>> =
             (0..2).map(|_| Box::new(EpochCounter { seen: 0, bounced: 0 }) as _).collect();
-        let report = EpochedSimulation::new(nodes, 3).inject_schedule(schedule).run();
+        let sim = schedule.into_iter().fold(Simulation::new(nodes, 3), |sim, (at, event)| {
+            sim.with_reconfiguration(at, event)
+        });
+        let report = sim.run();
         assert_eq!(report.reconfigurations, 3);
     }
 

@@ -17,10 +17,12 @@
 //!   [`SocketTransport`](crate::SocketTransport) carries the same
 //!   operations over real loopback TCP (see `docs/ARCHITECTURE.md` for
 //!   the contract).
-//! * [`Runtime`] — the execution seam: anything that can drive a set of
-//!   automata to quiescence and report. The deterministic
-//!   [`Simulation`](crate::Simulation) and the threaded
-//!   [`ThreadedRuntime`](crate::ThreadedRuntime) are the two backends.
+//!
+//! The executors that consume this vocabulary — the deterministic
+//! [`Simulation`](crate::Simulation), the threaded
+//! [`ThreadedRuntime`](crate::ThreadedRuntime) and the twin replay — all
+//! apply a callback's staged effects through one crate-private node host,
+//! so they expand broadcasts and index sends identically.
 //!
 //! Addressing stays [`NodeId`]-based on purpose: the seam abstracts the
 //! *carriage* of messages, not the membership of the system.
@@ -29,18 +31,17 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-use crate::sim::{NodeId, Protocol, RunReport};
+use crate::sim::{NodeId, Protocol};
 
 /// One staged send effect: either a point-to-point message or a
 /// full-population broadcast.
 ///
-/// Broadcasts are kept symbolic until a backend flushes them: the
-/// deterministic simulator expands recipients in `0..n` order (preserving
-/// the seeded delay stream of the eager-clone era byte for byte), the
-/// threaded runtime expands with last-send-moves so a large payload is
-/// cloned `n - 1` times instead of `n`, and a future partial-view gossip
-/// backend can treat the effect as "disseminate" without ever seeing a
-/// full recipient list.
+/// Broadcasts are kept symbolic until an executor applies them: every
+/// executor expands recipients in `0..n` order (preserving the seeded
+/// delay stream of the eager-clone era byte for byte) with
+/// last-send-moves, so a large payload is cloned `n - 1` times instead of
+/// `n`, and a partial-view gossip backend can treat the effect as
+/// "disseminate" without ever seeing a full recipient list.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Delivery<M> {
     /// Send `msg` to one node (possibly the sender itself).
@@ -54,14 +55,20 @@ impl<M: Clone> Delivery<M> {
     /// population, recipients in ascending order. The last broadcast
     /// recipient receives the moved payload (last-send-moves).
     pub fn expand_into(self, n: usize, out: &mut Vec<(NodeId, M)>) {
+        self.expand(n, |to, msg| out.push((to, msg)));
+    }
+
+    /// [`Delivery::expand_into`] without the buffer: hands each
+    /// `(to, msg)` pair to `f` in the same order.
+    pub(crate) fn expand(self, n: usize, mut f: impl FnMut(NodeId, M)) {
         match self {
-            Delivery::Unicast(to, msg) => out.push((to, msg)),
+            Delivery::Unicast(to, msg) => f(to, msg),
             Delivery::Broadcast(msg) => {
                 for to in 0..n.saturating_sub(1) {
-                    out.push((to, msg.clone()));
+                    f(to, msg.clone());
                 }
                 if n > 0 {
-                    out.push((n - 1, msg));
+                    f(n - 1, msg);
                 }
             }
         }
@@ -71,7 +78,7 @@ impl<M: Clone> Delivery<M> {
 /// One message in flight between two nodes.
 ///
 /// `send_ix` is the sender's per-node send counter, assigned in staging
-/// order when the effect is flushed (a broadcast occupies `n` consecutive
+/// order when the effect is applied (a broadcast occupies `n` consecutive
 /// indices, recipients ascending). The delivery trace identifies messages
 /// by `(from, send_ix)` alone — automata are deterministic, so the twin
 /// replay re-derives the payload instead of storing it.
@@ -216,10 +223,14 @@ impl<M: Send> Transport<M> for ChannelTransport<M> {
     }
 
     fn try_send(&self, env: Envelope<M>) -> Result<(), SendError<M>> {
+        // Checked under the inbox lock: a send either lands before the
+        // consumer's post-close drain takes this lock, or sees the close.
+        // Checked before it, a send could slip in after that drain and be
+        // neither delivered nor counted as dropped.
+        let mut inbox = self.inboxes[env.to].lock().expect("inbox poisoned");
         if self.closed.load(Ordering::Acquire) {
             return Err(SendError::Closed(env));
         }
-        let mut inbox = self.inboxes[env.to].lock().expect("inbox poisoned");
         if inbox.len() >= self.capacity {
             return Err(SendError::Full(env));
         }
@@ -234,29 +245,6 @@ impl<M: Send> Transport<M> for ChannelTransport<M> {
     fn close(&self) {
         self.closed.store(true, Ordering::Release);
     }
-}
-
-/// The execution seam: a backend that drives [`Protocol`] automata to
-/// quiescence.
-///
-/// Two implementations ship: the deterministic
-/// [`Simulation`](crate::Simulation) (and its epoch-schedule wrapper
-/// [`EpochedSimulation`](crate::EpochedSimulation)) and the threaded
-/// [`ThreadedRuntime`](crate::ThreadedRuntime). Tests and harnesses that
-/// are generic over the backend take `R: Runtime<M>` and call
-/// [`Runtime::run`]; the determinism-twin contract (every runtime run is
-/// replayable on the simulator substrate, bit-identically) is what keeps
-/// the two backends honest with each other.
-pub trait Runtime<M> {
-    /// Short backend name for reports and benchmark rows (`"sim"`,
-    /// `"threaded"`).
-    fn backend(&self) -> &'static str;
-
-    /// Consumes the backend, runs to quiescence (or its event cap) and
-    /// reports.
-    fn run(self) -> RunReport
-    where
-        Self: Sized;
 }
 
 /// Boxed automata that may cross threads: what the threaded runtime

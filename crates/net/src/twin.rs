@@ -19,10 +19,13 @@
 //! tracing stays cheap enough to leave on for every benchmark run (the
 //! `runtime_scale --ci-smoke` gate replays every cell nightly).
 
+use std::collections::HashMap;
+
 use swiper_core::EpochEvent;
 
+use crate::host::{Callback, Effect, NodeHost};
 use crate::metrics::Metrics;
-use crate::sim::{Context, NodeId, Protocol, RunReport};
+use crate::sim::{NodeId, Protocol, RunReport};
 use crate::MessageSize;
 
 /// One recorded callback of a runtime run, in a causally consistent total
@@ -95,26 +98,26 @@ impl std::fmt::Display for TwinError {
 
 impl std::error::Error for TwinError {}
 
-/// Replay-side view of one node: the messages and timers it has emitted
-/// (keyed by the same per-node counters the runtime assigned) and whether
-/// it has halted.
+/// Replay-side view of one node: its host, and the messages and timers
+/// it has emitted, keyed by the same per-node indices the runtime
+/// assigned.
 struct ReplayNode<M> {
-    sent: std::collections::HashMap<u64, (NodeId, M)>,
-    next_send_ix: u64,
-    armed: std::collections::HashMap<u64, u64>,
-    next_timer_ix: u64,
-    halted: bool,
+    host: NodeHost<dyn Protocol<Msg = M>>,
+    sent: HashMap<u64, (NodeId, M)>,
+    armed: HashMap<u64, u64>,
 }
 
-impl<M> ReplayNode<M> {
-    fn new() -> Self {
-        ReplayNode {
-            sent: std::collections::HashMap::new(),
-            next_send_ix: 0,
-            armed: std::collections::HashMap::new(),
-            next_timer_ix: 0,
-            halted: false,
-        }
+impl<M: Clone + MessageSize> ReplayNode<M> {
+    fn call(&mut self, n: usize, at: u64, callback: Callback<'_, M>, metrics: &mut Metrics) {
+        let (sent, armed) = (&mut self.sent, &mut self.armed);
+        self.host.run(n, at, callback, metrics, |effect| match effect {
+            Effect::Send { ix, to, msg } => {
+                sent.insert(ix, (to, msg));
+            }
+            Effect::Timer { ix, id, .. } => {
+                armed.insert(ix, id);
+            }
+        });
     }
 }
 
@@ -151,52 +154,29 @@ impl DeliveryTrace {
     /// Panics if `nodes.len()` differs from the traced population.
     pub fn replay<M: Clone + MessageSize>(
         &self,
-        mut nodes: Vec<Box<dyn Protocol<Msg = M>>>,
+        nodes: Vec<Box<dyn Protocol<Msg = M>>>,
     ) -> Result<RunReport, TwinError> {
         assert_eq!(nodes.len(), self.n, "replay population must match the trace");
         let n = self.n;
         let mut metrics = Metrics::new(n);
-        let mut outputs: Vec<Option<Vec<u8>>> = vec![None; n];
-        let mut state: Vec<ReplayNode<M>> = (0..n).map(|_| ReplayNode::new()).collect();
+        let mut state: Vec<ReplayNode<M>> = nodes
+            .into_iter()
+            .enumerate()
+            .map(|(id, node)| ReplayNode {
+                host: NodeHost::new(id, node),
+                sent: HashMap::new(),
+                armed: HashMap::new(),
+            })
+            .collect();
         let mut elapsed = 0u64;
-
-        let flush = |node: NodeId,
-                     ctx: Context<M>,
-                     state: &mut Vec<ReplayNode<M>>,
-                     outputs: &mut Vec<Option<Vec<u8>>>,
-                     metrics: &mut Metrics| {
-            let effects = ctx.into_effects();
-            if let Some(out) = effects.output {
-                if outputs[node].is_none() {
-                    outputs[node] = Some(out);
-                }
-            }
-            if effects.halted {
-                state[node].halted = true;
-            }
-            for (to, msg) in effects.outbox {
-                metrics.record_send(node, msg.size_bytes());
-                let ix = state[node].next_send_ix;
-                state[node].next_send_ix += 1;
-                state[node].sent.insert(ix, (to, msg));
-            }
-            for (_delay, id) in effects.timers {
-                let ix = state[node].next_timer_ix;
-                state[node].next_timer_ix += 1;
-                state[node].armed.insert(ix, id);
-            }
-        };
-
-        for (node, automaton) in nodes.iter_mut().enumerate() {
-            let mut ctx = Context::detached(node, n, self.start_at[node]);
-            automaton.on_start(&mut ctx);
-            flush(node, ctx, &mut state, &mut outputs, &mut metrics);
+        for (node, replayed) in state.iter_mut().enumerate() {
+            replayed.call(n, self.start_at[node], Callback::Start, &mut metrics);
         }
 
         let mut events = 0u64;
         for (pos, ev) in self.events.iter().enumerate() {
             let err = |reason: String| TwinError { at_event: pos, reason };
-            match *ev {
+            let (to, at, callback, what) = match *ev {
                 TraceEvent::Deliver { to, from, send_ix, at } => {
                     let Some((dest, msg)) = state[from].sent.remove(&send_ix) else {
                         return Err(err(format!(
@@ -210,17 +190,7 @@ impl DeliveryTrace {
                              node {dest}, not node {to}"
                         )));
                     }
-                    if state[to].halted {
-                        return Err(err(format!(
-                            "delivery to node {to}, which already halted in the replay"
-                        )));
-                    }
-                    elapsed = elapsed.max(at);
-                    events += 1;
-                    metrics.record_delivery(to, msg.size_bytes());
-                    let mut ctx = Context::detached(to, n, at);
-                    nodes[to].on_message(from, msg, &mut ctx);
-                    flush(to, ctx, &mut state, &mut outputs, &mut metrics);
+                    (to, at, Callback::Message { from, msg }, "delivery to")
                 }
                 TraceEvent::Timer { to, timer_ix, id, at } => {
                     let Some(armed) = state[to].armed.remove(&timer_ix) else {
@@ -234,16 +204,7 @@ impl DeliveryTrace {
                              the live run fired id {id}"
                         )));
                     }
-                    if state[to].halted {
-                        return Err(err(format!(
-                            "timer fire on node {to}, which already halted in the replay"
-                        )));
-                    }
-                    elapsed = elapsed.max(at);
-                    events += 1;
-                    let mut ctx = Context::detached(to, n, at);
-                    nodes[to].on_timer(id, &mut ctx);
-                    flush(to, ctx, &mut state, &mut outputs, &mut metrics);
+                    (to, at, Callback::Timer { id }, "timer fire on")
                 }
                 TraceEvent::Epoch { to, epoch_ix, at } => {
                     let Some(event) = self.epochs.get(epoch_ix) else {
@@ -251,21 +212,25 @@ impl DeliveryTrace {
                             "epoch #{epoch_ix} is not in the trace's schedule"
                         )));
                     };
-                    if state[to].halted {
-                        return Err(err(format!(
-                            "reconfiguration of node {to}, which already halted in the replay"
-                        )));
-                    }
-                    elapsed = elapsed.max(at);
-                    let mut ctx = Context::detached(to, n, at);
-                    nodes[to].on_reconfigure(event, &mut ctx);
-                    flush(to, ctx, &mut state, &mut outputs, &mut metrics);
+                    (to, at, Callback::Epoch(event), "reconfiguration of")
                 }
+            };
+            if state[to].host.halted() {
+                return Err(err(format!(
+                    "{what} node {to}, which already halted in the replay"
+                )));
             }
+            elapsed = elapsed.max(at);
+            // Reconfigurations are not events (the runtime does not count
+            // them either).
+            if !matches!(callback, Callback::Epoch(_)) {
+                events += 1;
+            }
+            state[to].call(n, at, callback, &mut metrics);
         }
 
         Ok(RunReport {
-            outputs,
+            outputs: state.into_iter().map(|r| r.host.into_output()).collect(),
             elapsed,
             events,
             reconfigurations: self.epochs.len() as u64,
