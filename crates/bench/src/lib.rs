@@ -1385,6 +1385,18 @@ mod tests {
     }
 
     #[test]
+    fn committed_baselines_rerender_byte_identically() {
+        let solver = include_str!("../../../BENCH_solver.json");
+        assert_eq!(render_bench_json(&parse_bench_json(solver).unwrap()), solver);
+        let epochs = include_str!("../../../BENCH_epochs.json");
+        assert_eq!(render_epochs_json(&parse_epochs_json(epochs).unwrap()), epochs);
+        let runtime = include_str!("../../../BENCH_runtime.json");
+        assert_eq!(render_runtime_json(&parse_runtime_json(runtime).unwrap()), runtime);
+        let gossip = include_str!("../../../BENCH_gossip.json");
+        assert_eq!(render_gossip_json(&parse_gossip_json(gossip).unwrap()), gossip);
+    }
+
+    #[test]
     fn table_renders_aligned() {
         let mut t = TextTable::new(vec!["a", "bb"]);
         t.row(vec!["1", "2"]);
