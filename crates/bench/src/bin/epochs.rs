@@ -17,10 +17,12 @@
 //! running cache hit rate; per scenario a summary line including how
 //! often the warm bracket settled on a different (equally valid) local
 //! minimum than cold bisection — the non-monotone dips discussed in
-//! `Swiper::resolve_from`. Solver-mode scenarios are also written as
-//! `BENCH_epochs.json` (schema `swiper-bench-epochs/v1`), one row per
-//! chain × churn with the `bracket_divergence` counter machine-readable
-//! instead of buried in the summary line.
+//! `Swiper::resolve_from`. Solver-mode scenarios also become rows of the
+//! `swiper_bench::EPOCHS` schema (`BENCH_epochs.json`), one per chain ×
+//! churn with the `bracket_divergence` counter machine-readable instead of
+//! buried in the summary line. The rows are written only to an explicit
+//! `--out`, never over the `--diff` baseline; `--diff` gates the scenarios
+//! the run covers.
 //!
 //! ```text
 //! cargo run --release -p swiper-bench --bin epochs -- [--epochs N] \
@@ -50,7 +52,7 @@ use std::process::ExitCode;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use swiper_bench::{diff_epochs_rows, parse_epochs_json, render_epochs_json, EpochBenchRow};
+use swiper_bench::{Row, EPOCHS};
 use swiper_core::{Ratio, Swiper, VirtualUsers, WeightQualification, WeightRestriction};
 use swiper_protocols::quorum::{CountQuorum, QuorumTracker, Roster, WeightQuorum};
 use swiper_protocols::smr::{ReconfigureMode, SmrInstance};
@@ -66,7 +68,7 @@ struct Args {
     smr: bool,
     ci_smoke: bool,
     quiet: bool,
-    out: String,
+    out: Option<String>,
     diff: Option<String>,
 }
 
@@ -80,7 +82,7 @@ fn parse_args() -> Result<Args, String> {
         smr: false,
         ci_smoke: false,
         quiet: false,
-        out: "BENCH_epochs.json".into(),
+        out: None,
         diff: None,
     };
     let mut it = std::env::args().skip(1);
@@ -117,7 +119,7 @@ fn parse_args() -> Result<Args, String> {
             "--smr" => args.smr = true,
             "--ci-smoke" => args.ci_smoke = true,
             "--quiet" => args.quiet = true,
-            "--out" => args.out = value("--out")?,
+            "--out" => args.out = Some(value("--out")?),
             "--diff" => args.diff = Some(value("--diff")?),
             other => return Err(format!("unknown flag `{other}`")),
         }
@@ -494,7 +496,7 @@ fn main() -> ExitCode {
         }
     };
     let mut ok = true;
-    let mut json_rows: Vec<EpochBenchRow> = Vec::new();
+    let mut json_rows: Vec<Row> = Vec::new();
     for &chain in &args.chains {
         for &churn_pct in &args.churn_pcts {
             if args.smr {
@@ -535,18 +537,17 @@ fn main() -> ExitCode {
                 let report = run_scenario(chain, churn_pct, &args);
                 ok &= !report.failed;
                 if !report.failed {
-                    json_rows.push(EpochBenchRow {
-                        bench: "epochs".into(),
-                        chain: chain.name().into(),
-                        churn_pct,
-                        epochs: args.epochs,
-                        bracket_divergence: report.divergences,
-                        cert_skips: report.cert_skips,
-                        warm_dp: report.warm_dp_certified,
-                        plain_dp: report.warm_dp_plain,
-                        cold_dp: report.cold_dp,
-                        hit_rate_pct: (report.hit_rate * 100.0).round() as u64,
-                    });
+                    json_rows.push(EPOCHS.row([
+                        ("chain", chain.name().into()),
+                        ("churn_pct", churn_pct.into()),
+                        ("epochs", args.epochs.into()),
+                        ("bracket_divergence", report.divergences.into()),
+                        ("cert_skips", report.cert_skips.into()),
+                        ("warm_dp", report.warm_dp_certified.into()),
+                        ("plain_dp", report.warm_dp_plain.into()),
+                        ("cold_dp", report.cold_dp.into()),
+                        ("hit_rate_pct", ((report.hit_rate * 100.0).round() as u64).into()),
+                    ]));
                 }
                 if args.ci_smoke && churn_pct == 1 {
                     if report.hit_rate <= 0.0 {
@@ -577,35 +578,8 @@ fn main() -> ExitCode {
             }
         }
     }
-    if !json_rows.is_empty() {
-        std::fs::write(&args.out, render_epochs_json(&json_rows))
-            .expect("write benchmark file");
-        println!("wrote {}", args.out);
-    }
-    if let Some(baseline_path) = &args.diff {
-        let doc = std::fs::read_to_string(baseline_path).expect("read baseline");
-        let baseline = match parse_epochs_json(&doc) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("epochs: baseline {baseline_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        // Gate only the scenarios this sweep covered, so shortened sweeps
-        // can diff against the committed full baseline.
-        let covered: Vec<EpochBenchRow> = baseline
-            .into_iter()
-            .filter(|b| json_rows.iter().any(|r| r.key() == b.key()))
-            .collect();
-        let problems = diff_epochs_rows(&covered, &json_rows);
-        for p in &problems {
-            eprintln!("epochs: REGRESSION: {p}");
-        }
-        if problems.is_empty() {
-            println!("diff vs {baseline_path}: clean ({} rows)", covered.len());
-        }
-        ok &= problems.is_empty();
-    }
+    let (out, diff) = (args.out.as_deref(), args.diff.as_deref());
+    ok &= EPOCHS.gate(&json_rows, out, diff, |b| EPOCHS.covers(&json_rows, b));
     if ok {
         ExitCode::SUCCESS
     } else {

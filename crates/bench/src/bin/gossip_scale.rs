@@ -24,23 +24,22 @@
 //! (the two slow ones); `--threaded-only` runs just the runtime cells
 //! (the nightly soak mode) and `--seed` perturbs their seeds so the soak
 //! covers fresh schedules; `--diff` gates the covered rows against a
-//! committed baseline via `diff_gossip_rows`, which also holds every
-//! fresh row to the reach-100% and beats-the-flood invariants. Threaded
-//! cells additionally assert the message conservation law
-//! `total == delivered + dropped`, and any twin divergence fails the run
-//! on its own, baseline or not.
+//! committed baseline by the roles of `swiper_bench::GOSSIP`, whose
+//! reach-100% and beats-the-flood invariants hold every fresh row with or
+//! without a baseline. The sweep is written only to an explicit `--out`,
+//! never over the `--diff` baseline. Threaded cells additionally assert
+//! the message conservation law `total == delivered + dropped`, and any
+//! twin divergence fails the run on its own, baseline or not.
 
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use swiper_bench::{
-    diff_gossip_rows, parse_gossip_json, render_gossip_json, GossipBenchRow, TextTable,
-};
+use swiper_bench::{Row, GOSSIP};
 use swiper_core::Weights;
 use swiper_net::{
-    DelayModel, OverlayCodec, OverlayConfig, OverlayMsg, OverlayNode, OverlayStats, Protocol,
-    SendNodes, Simulation, SocketTransport, ThreadedRuntime,
+    DelayModel, HistSummary, OverlayCodec, OverlayConfig, OverlayMsg, OverlayNode,
+    OverlayStats, Protocol, SendNodes, Simulation, SocketTransport, ThreadedRuntime,
 };
 use swiper_protocols::bracha::{BrachaConfig, BrachaMsg, BrachaNode};
 use swiper_protocols::wire::BrachaCodec;
@@ -51,18 +50,13 @@ struct Args {
     ci_smoke: bool,
     threaded_only: bool,
     seed: u64,
-    out: String,
+    out: Option<String>,
     diff: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        ci_smoke: false,
-        threaded_only: false,
-        seed: 0,
-        out: "BENCH_gossip.json".into(),
-        diff: None,
-    };
+    let mut args =
+        Args { ci_smoke: false, threaded_only: false, seed: 0, out: None, diff: None };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value =
@@ -73,7 +67,7 @@ fn parse_args() -> Result<Args, String> {
             "--seed" => {
                 args.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?;
             }
-            "--out" => args.out = value("--out")?,
+            "--out" => args.out = Some(value("--out")?),
             "--diff" => args.diff = Some(value("--diff")?),
             other => return Err(format!("unknown flag `{other}`")),
         }
@@ -139,31 +133,32 @@ fn row_from(
     reached: usize,
     msgs: u64,
     stats: &OverlayStats,
-) -> GossipBenchRow {
+    latency: HistSummary,
+    twin_ok: bool,
+) -> Row {
     let deliveries = stats.deliveries.max(1);
-    GossipBenchRow {
-        bench: "gossip_scale".into(),
-        backend: backend.into(),
-        substrate: substrate.into(),
-        n: n as u64,
-        seed,
-        wall_ms,
-        reach_pct: (reached * 100 / n) as u64,
-        rounds: u64::from(stats.max_hops),
-        msgs,
-        deliveries: stats.deliveries,
-        msgs_per_delivery_x100: msgs * 100 / deliveries,
-        baseline_msgs_per_delivery: n as u64,
-        mean_degree_x100: (stats.mean_degree() * 100.0).round() as u64,
-        p50_us: 0,
-        p95_us: 0,
-        p99_us: 0,
-        twin_ok: 1,
-    }
+    GOSSIP.row([
+        ("backend", backend.into()),
+        ("substrate", substrate.into()),
+        ("n", n.into()),
+        ("seed", seed.into()),
+        ("wall_ms", wall_ms.into()),
+        ("reach_pct", (reached * 100 / n).into()),
+        ("rounds", u64::from(stats.max_hops).into()),
+        ("msgs", msgs.into()),
+        ("deliveries", stats.deliveries.into()),
+        ("msgs_per_delivery_x100", (msgs * 100 / deliveries).into()),
+        ("baseline_msgs_per_delivery", n.into()),
+        ("mean_degree_x100", ((stats.mean_degree() * 100.0).round() as u64).into()),
+        ("p50_us", latency.p50_us.into()),
+        ("p95_us", latency.p95_us.into()),
+        ("p99_us", latency.p99_us.into()),
+        ("twin_ok", twin_ok.into()),
+    ])
 }
 
 /// One seeded simulator cell: deterministic counters, no latency axis.
-fn run_sim_cell(backend: &str, n: usize, seed: u64) -> GossipBenchRow {
+fn run_sim_cell(backend: &str, n: usize, seed: u64) -> Row {
     let cfg = config_for(backend, n);
     let stats = Arc::new(Mutex::new(OverlayStats::default()));
     let t0 = Instant::now();
@@ -174,13 +169,15 @@ fn run_sim_cell(backend: &str, n: usize, seed: u64) -> GossipBenchRow {
     let wall_ms = t0.elapsed().as_millis() as u64;
     let reached = report.outputs.iter().filter(|o| o.as_deref() == Some(PAYLOAD)).count();
     let s = stats.lock().expect("sim is single-threaded");
-    row_from(backend, "sim", n, seed, wall_ms, reached, report.metrics.total_messages(), &s)
+    let msgs = report.metrics.total_messages();
+    let latency = HistSummary::from_samples(Vec::new());
+    row_from(backend, "sim", n, seed, wall_ms, reached, msgs, &s, latency, true)
 }
 
 /// One threaded-runtime cell: latency percentiles and the twin verdict.
 /// Timers are scaled ×500 because the runtime clock ticks microseconds
 /// where the simulator ticks abstract units.
-fn run_threaded_cell(substrate: &str, n: usize, seed: u64, workers: usize) -> GossipBenchRow {
+fn run_threaded_cell(substrate: &str, n: usize, seed: u64, workers: usize) -> Row {
     let cfg = OverlayConfig::default().scaled_by(500);
     let stats = Arc::new(Mutex::new(OverlayStats::default()));
     let t0 = Instant::now();
@@ -210,21 +207,8 @@ fn run_threaded_cell(substrate: &str, n: usize, seed: u64, workers: usize) -> Go
         .map(|r| r.outputs == full.report.outputs && r.metrics == full.report.metrics)
         .unwrap_or(false);
     let s = stats.lock().expect("workers joined");
-    let mut row = row_from(
-        "overlay",
-        substrate,
-        n,
-        seed,
-        wall_ms,
-        reached,
-        full.report.metrics.total_messages(),
-        &s,
-    );
-    row.p50_us = full.latency.p50_us;
-    row.p95_us = full.latency.p95_us;
-    row.p99_us = full.latency.p99_us;
-    row.twin_ok = u64::from(twin_ok);
-    row
+    let msgs = full.report.metrics.total_messages();
+    row_from("overlay", substrate, n, seed, wall_ms, reached, msgs, &s, full.latency, twin_ok)
 }
 
 fn main() -> ExitCode {
@@ -258,72 +242,16 @@ fn main() -> ExitCode {
     rows.push(run_threaded_cell("threaded", 24, 5 + args.seed * 101, 4));
     rows.push(run_threaded_cell("socket", 16, 8 + args.seed * 101, 3));
 
-    let mut table = TextTable::new(vec![
-        "backend",
-        "substrate",
-        "n",
-        "seed",
-        "wall_ms",
-        "reach%",
-        "rounds",
-        "msgs",
-        "msgs/delivery",
-        "flood baseline",
-        "degree",
-        "p99_us",
-        "twin",
-    ]);
-    for r in &rows {
-        table.row(vec![
-            r.backend.clone(),
-            r.substrate.clone(),
-            r.n.to_string(),
-            r.seed.to_string(),
-            r.wall_ms.to_string(),
-            r.reach_pct.to_string(),
-            r.rounds.to_string(),
-            r.msgs.to_string(),
-            format!("{:.2}", r.msgs_per_delivery()),
-            r.baseline_msgs_per_delivery.to_string(),
-            format!("{:.2}", r.mean_degree_x100 as f64 / 100.0),
-            r.p99_us.to_string(),
-            if r.twin_ok == 1 { "ok".into() } else { "DIVERGED".to_string() },
-        ]);
-    }
-    print!("{}", table.render());
+    print!("{}", GOSSIP.table(&rows));
 
-    std::fs::write(&args.out, render_gossip_json(&rows)).expect("write benchmark file");
-    println!("wrote {}", args.out);
-
-    // The fresh-row invariants (reach 100%, overlay beats the flood at
-    // n ≥ 256) are checked even without a baseline: diff against empty.
-    let mut baseline = Vec::new();
-    let mut baseline_path = String::from("(none)");
-    if let Some(path) = &args.diff {
-        let doc = std::fs::read_to_string(path).expect("read baseline");
-        baseline = match parse_gossip_json(&doc) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("gossip_scale: baseline {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        baseline_path = path.clone();
-    }
-    // Gate only the cells this sweep covered, so --ci-smoke can diff
-    // against the committed full sweep.
-    let covered: Vec<GossipBenchRow> =
-        baseline.into_iter().filter(|b| rows.iter().any(|r| r.key() == b.key())).collect();
-    let problems = diff_gossip_rows(&covered, &rows, 20);
-    for p in &problems {
-        eprintln!("gossip_scale: REGRESSION: {p}");
-    }
-    let twins_ok = rows.iter().all(|r| r.twin_ok == 1);
+    let twins_ok = rows.iter().all(|r| r.num("twin_ok") == 1);
     if !twins_ok {
         eprintln!("gossip_scale: twin replay DIVERGED — the determinism contract is broken");
     }
-    if problems.is_empty() && twins_ok {
-        println!("diff vs {baseline_path}: clean ({} rows)", covered.len());
+    let (out, diff) = (args.out.as_deref(), args.diff.as_deref());
+    // Without --diff the gate still holds every fresh row to the schema's
+    // invariants (reach 100%, overlay beats the flood at n ≥ 256).
+    if GOSSIP.gate(&rows, out, diff, |b| GOSSIP.covers(&rows, b)) && twins_ok {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -21,7 +21,7 @@
 //! `commits` (protocol progress at quiescence) is schedule-independent
 //! and regression-gated exactly, as is `twin_ok`; wall time is gated with
 //! 20% tolerance above the 250 ms floor; message counts, latency and RSS
-//! are informational (see `swiper_bench::diff_runtime_rows`).
+//! are informational (see `swiper_bench::RUNTIME`).
 //!
 //! ```text
 //! cargo run --release -p swiper-bench --bin runtime_scale -- \
@@ -31,16 +31,14 @@
 //! `--ci-smoke` runs a reduced sweep (one population per chain, fewer
 //! worker counts) for the nightly soak; `--diff` compares against a
 //! committed baseline, restricted to the cells the current sweep covers,
-//! and exits non-zero on any regression.
+//! and exits non-zero on any regression. The sweep is written only to an
+//! explicit `--out`, never over the `--diff` baseline.
 
 use std::process::ExitCode;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use swiper_bench::{
-    current_rss_kb, diff_runtime_rows, parse_runtime_json, peak_rss_kb, render_runtime_json,
-    RuntimeBenchRow, TextTable,
-};
+use swiper_bench::{current_rss_kb, peak_rss_kb, Row, RUNTIME};
 use swiper_core::Weights;
 use swiper_net::{
     MessageSize, Protocol, RunReport, SendNodes, SocketTransport, ThreadedRuntime, WireCodec,
@@ -60,7 +58,7 @@ const BRACHA_PAYLOAD: usize = 32 * 1024;
 
 struct Args {
     ci_smoke: bool,
-    out: String,
+    out: Option<String>,
     diff: Option<String>,
     seed: u64,
     /// Transport backends to sweep: `channel`, `socket`, or both.
@@ -70,7 +68,7 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         ci_smoke: false,
-        out: "BENCH_runtime.json".into(),
+        out: None,
         diff: None,
         seed: 1,
         transports: vec!["channel", "socket"],
@@ -81,7 +79,7 @@ fn parse_args() -> Result<Args, String> {
             |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
         match flag.as_str() {
             "--ci-smoke" => args.ci_smoke = true,
-            "--out" => args.out = value("--out")?,
+            "--out" => args.out = Some(value("--out")?),
             "--diff" => args.diff = Some(value("--diff")?),
             "--seed" => {
                 args.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?;
@@ -105,8 +103,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 /// Runs one sweep cell: the chain on the threaded runtime over the given
-/// transport backend, then the twin replay. Returns the row plus whether
-/// the twin held.
+/// transport backend, then the twin replay.
 fn run_cell<M, F, C, K>(
     protocol: &str,
     transport: &str,
@@ -114,7 +111,7 @@ fn run_cell<M, F, C, K>(
     workers: usize,
     make: F,
     commits_of: K,
-) -> (RuntimeBenchRow, bool)
+) -> Row
 where
     M: Clone + MessageSize + Send + 'static,
     F: Fn() -> SendNodes<M>,
@@ -164,24 +161,22 @@ where
     let wall_us = full.wall.as_micros().max(1) as u64;
     let msgs = full.report.metrics.delivered_messages();
     let per_sec = |count: u64| count.saturating_mul(1_000_000) / wall_us;
-    let row = RuntimeBenchRow {
-        bench: "runtime_scale".into(),
-        protocol: protocol.into(),
-        transport: transport.into(),
-        n: n as u64,
-        workers: workers as u64,
-        wall_ms: wall_us / 1000,
-        commits,
-        commits_per_sec: per_sec(commits),
-        msgs,
-        msgs_per_sec: per_sec(msgs),
-        p50_us: full.latency.p50_us,
-        p95_us: full.latency.p95_us,
-        p99_us: full.latency.p99_us,
-        peak_rss_kb: rss_kb,
-        twin_ok: u64::from(twin_ok),
-    };
-    (row, twin_ok)
+    RUNTIME.row([
+        ("protocol", protocol.into()),
+        ("transport", transport.into()),
+        ("n", n.into()),
+        ("workers", workers.into()),
+        ("wall_ms", (wall_us / 1000).into()),
+        ("commits", commits.into()),
+        ("commits_per_sec", per_sec(commits).into()),
+        ("msgs", msgs.into()),
+        ("msgs_per_sec", per_sec(msgs).into()),
+        ("p50_us", full.latency.p50_us.into()),
+        ("p95_us", full.latency.p95_us.into()),
+        ("p99_us", full.latency.p99_us.into()),
+        ("peak_rss_kb", rss_kb.into()),
+        ("twin_ok", twin_ok.into()),
+    ])
 }
 
 fn bracha_nodes(n: usize, seed: u64) -> SendNodes<swiper_protocols::bracha::BrachaMsg> {
@@ -240,118 +235,56 @@ fn main() -> ExitCode {
     let smr_sizes: &[usize] = if args.ci_smoke { &[8] } else { &[8, 16] };
 
     let mut rows = Vec::new();
-    let mut all_twins_ok = true;
-    let sweep = |rows: &mut Vec<RuntimeBenchRow>, ok: &mut bool, transport: &str| {
+    let sweep = |rows: &mut Vec<Row>, transport: &str| {
         for &n in bracha_sizes {
             for &w in worker_counts.iter().filter(|&&w| w <= n) {
-                let (row, twin) = run_cell::<_, _, BrachaCodec, _>(
+                rows.push(run_cell::<_, _, BrachaCodec, _>(
                     "bracha",
                     transport,
                     n,
                     w,
                     || bracha_nodes(n, args.seed),
                     outputs_count,
-                );
-                rows.push(row);
-                *ok &= twin;
+                ));
             }
         }
         for &n in aba_sizes {
             for &w in worker_counts.iter().filter(|&&w| w <= n) {
-                let (row, twin) = run_cell::<_, _, AbaCodec, _>(
+                rows.push(run_cell::<_, _, AbaCodec, _>(
                     "aba",
                     transport,
                     n,
                     w,
                     || aba_nodes(n, args.seed),
                     outputs_count,
-                );
-                rows.push(row);
-                *ok &= twin;
+                ));
             }
         }
         for &n in smr_sizes {
             for &w in worker_counts.iter().filter(|&&w| w <= n) {
-                let (row, twin) = run_cell::<_, _, SmrCodec, _>(
+                rows.push(run_cell::<_, _, SmrCodec, _>(
                     "smr",
                     transport,
                     n,
                     w,
                     || smr_nodes(n, args.seed),
                     smr_commits,
-                );
-                rows.push(row);
-                *ok &= twin;
+                ));
             }
         }
     };
     for transport in &args.transports {
-        sweep(&mut rows, &mut all_twins_ok, transport);
+        sweep(&mut rows, transport);
     }
 
-    let mut table = TextTable::new(vec![
-        "protocol",
-        "transport",
-        "n",
-        "workers",
-        "wall_ms",
-        "commits",
-        "commits/s",
-        "msgs",
-        "msgs/s",
-        "p50_us",
-        "p95_us",
-        "p99_us",
-        "twin",
-    ]);
-    for r in &rows {
-        table.row(vec![
-            r.protocol.clone(),
-            r.transport.clone(),
-            r.n.to_string(),
-            r.workers.to_string(),
-            r.wall_ms.to_string(),
-            r.commits.to_string(),
-            r.commits_per_sec.to_string(),
-            r.msgs.to_string(),
-            r.msgs_per_sec.to_string(),
-            r.p50_us.to_string(),
-            r.p95_us.to_string(),
-            r.p99_us.to_string(),
-            if r.twin_ok == 1 { "ok".into() } else { "DIVERGED".to_string() },
-        ]);
-    }
-    print!("{}", table.render());
+    print!("{}", RUNTIME.table(&rows));
 
-    std::fs::write(&args.out, render_runtime_json(&rows)).expect("write benchmark file");
-    println!("wrote {}", args.out);
-
-    let mut ok = all_twins_ok;
-    if !all_twins_ok {
+    let mut ok = rows.iter().all(|r| r.num("twin_ok") == 1);
+    if !ok {
         eprintln!("runtime_scale: twin replay DIVERGED — the determinism contract is broken");
     }
-    if let Some(baseline_path) = &args.diff {
-        let doc = std::fs::read_to_string(baseline_path).expect("read baseline");
-        let baseline = match parse_runtime_json(&doc) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("runtime_scale: baseline {baseline_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        // Gate only the cells this sweep covered, so --ci-smoke can diff
-        // against the committed full sweep.
-        let covered: Vec<RuntimeBenchRow> =
-            baseline.into_iter().filter(|b| rows.iter().any(|r| r.key() == b.key())).collect();
-        let problems = diff_runtime_rows(&covered, &rows, 20);
-        for p in &problems {
-            eprintln!("runtime_scale: REGRESSION: {p}");
-        }
-        if problems.is_empty() {
-            println!("diff vs {baseline_path}: clean ({} rows)", covered.len());
-        }
-        ok &= problems.is_empty();
-    }
+    let (out, diff) = (args.out.as_deref(), args.diff.as_deref());
+    ok &= RUNTIME.gate(&rows, out, diff, |b| RUNTIME.covers(&rows, b));
     if ok {
         ExitCode::SUCCESS
     } else {

@@ -18,9 +18,8 @@
 //! Every row records the generator seed, wall time, published tickets,
 //! `dp_invocations`, `certificate_skips`, `candidates_checked`, the
 //! accelerator counters (`cursor_advances`, `probes_saved`,
-//! `coarse_cert_hits`) and peak RSS, and the whole
-//! sweep is written as `BENCH_solver.json` (schema
-//! `swiper-bench-solver/v1`, one row per line). Counter fields are
+//! `coarse_cert_hits`) and peak RSS in the `swiper_bench::SOLVER` schema
+//! (`BENCH_solver.json`, one row per line). Counter fields are
 //! bit-deterministic for a fixed seed, which is what makes the file
 //! regression-gateable; wall times are gated with tolerance, RSS is
 //! informational.
@@ -30,11 +29,14 @@
 //!     [--max-n N] [--out PATH] [--diff BASELINE] [--budget-ms MS] [--seed S]
 //! ```
 //!
-//! `--diff` exits non-zero when any deterministic counter differs from the
-//! baseline or a wall time regresses by more than 20% (rows under 250 ms
-//! are treated as noise); baseline rows above `--max-n` are ignored so a
-//! capped nightly run can diff against the full committed sweep.
-//! `--budget-ms` exits non-zero when the cold solve at the largest swept
+//! The sweep is written only to an explicit `--out`, never over the
+//! `--diff` baseline. `--diff` exits non-zero when any deterministic
+//! counter differs from the baseline or a wall time regresses by more than
+//! 20% (rows under 250 ms are treated as noise); baseline rows above
+//! `--max-n` are ignored so a capped nightly run can diff against the full
+//! committed sweep. Whenever the sweep reaches n = 10⁶, the certified row
+//! must also settle checks from certificates (`certificate_skips +
+//! coarse_cert_hits > 0`), baseline or not. `--budget-ms` exits non-zero when the cold solve at the largest swept
 //! n ≤ 10⁵ exceeds the budget — the nightly wall-clock gate.
 
 use std::process::ExitCode;
@@ -42,9 +44,7 @@ use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use swiper_bench::{
-    diff_bench_rows, parse_bench_json, peak_rss_kb, render_bench_json, BenchRow, TextTable,
-};
+use swiper_bench::{peak_rss_kb, Row, SOLVER};
 use swiper_core::{Ratio, SolveStats, Swiper, WeightRestriction};
 use swiper_weights::epoch::{churn_with, ChurnMode, Reconfigurator, Setting};
 use swiper_weights::gen;
@@ -55,20 +55,14 @@ const CHURN_PCT: u64 = 1;
 
 struct Args {
     max_n: u64,
-    out: String,
+    out: Option<String>,
     diff: Option<String>,
     budget_ms: Option<u64>,
     seed: u64,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        max_n: 1_000_000,
-        out: "BENCH_solver.json".into(),
-        diff: None,
-        budget_ms: None,
-        seed: 1,
-    };
+    let mut args = Args { max_n: 1_000_000, out: None, diff: None, budget_ms: None, seed: 1 };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value =
@@ -77,7 +71,7 @@ fn parse_args() -> Result<Args, String> {
             "--max-n" => {
                 args.max_n = value("--max-n")?.parse().map_err(|e| format!("--max-n: {e}"))?;
             }
-            "--out" => args.out = value("--out")?,
+            "--out" => args.out = Some(value("--out")?),
             "--diff" => args.diff = Some(value("--diff")?),
             "--budget-ms" => {
                 args.budget_ms = Some(
@@ -101,26 +95,25 @@ fn row(
     tickets: u128,
     stats: &SolveStats,
     rss_delta_kb: u64,
-) -> BenchRow {
-    BenchRow {
-        bench: "solver_scale".into(),
-        case_name: case.into(),
-        n,
-        wall_ms,
-        tickets,
-        dp_invocations: stats.dp_invocations,
-        certificate_skips: stats.certificate_skips,
-        candidates_checked: stats.candidates_checked,
-        cursor_advances: stats.cursor_advances,
-        probes_saved: stats.probes_saved,
-        coarse_cert_hits: stats.coarse_cert_hits,
-        seed: gen_seed,
-        peak_rss_kb: rss_delta_kb,
-    }
+) -> Row {
+    SOLVER.row([
+        ("case", case.into()),
+        ("n", n.into()),
+        ("seed", gen_seed.into()),
+        ("wall_ms", wall_ms.into()),
+        ("tickets", tickets.into()),
+        ("dp_invocations", stats.dp_invocations.into()),
+        ("certificate_skips", stats.certificate_skips.into()),
+        ("candidates_checked", stats.candidates_checked.into()),
+        ("cursor_advances", stats.cursor_advances.into()),
+        ("probes_saved", stats.probes_saved.into()),
+        ("coarse_cert_hits", stats.coarse_cert_hits.into()),
+        ("peak_rss_kb", rss_delta_kb.into()),
+    ])
 }
 
 /// One population size: cold solve plus the two epoch-step variants.
-fn run_size(n: u64, seed: u64) -> Vec<BenchRow> {
+fn run_size(n: u64, seed: u64) -> Vec<Row> {
     let p = WeightRestriction::new(Ratio::of(1, 3), Ratio::of(1, 2)).expect("valid params");
     let setting = Setting::Restriction(p);
     let whales = usize::try_from((n / 10_000).max(8)).expect("fits");
@@ -186,82 +179,31 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let mut table = TextTable::new(vec![
-        "n",
-        "case",
-        "seed",
-        "wall_ms",
-        "tickets",
-        "dp",
-        "cert_skips",
-        "coarse",
-        "cursor",
-        "saved",
-        "candidates",
-        "rss_kb",
-    ]);
-    for r in &rows {
-        table.row(vec![
-            r.n.to_string(),
-            r.case_name.clone(),
-            r.seed.to_string(),
-            r.wall_ms.to_string(),
-            r.tickets.to_string(),
-            r.dp_invocations.to_string(),
-            r.certificate_skips.to_string(),
-            r.coarse_cert_hits.to_string(),
-            r.cursor_advances.to_string(),
-            r.probes_saved.to_string(),
-            r.candidates_checked.to_string(),
-            r.peak_rss_kb.to_string(),
-        ]);
-    }
-    print!("{}", table.render());
-
-    std::fs::write(&args.out, render_bench_json(&rows)).expect("write benchmark file");
-    println!("wrote {}", args.out);
+    print!("{}", SOLVER.table(&rows));
 
     let mut ok = true;
     if let Some(budget) = args.budget_ms {
         let gate_n = SIZES.into_iter().filter(|&n| n <= args.max_n.min(100_000)).max();
-        let cold = gate_n.and_then(|n| rows.iter().find(|r| r.case_name == "cold" && r.n == n));
-        match cold {
-            Some(r) if r.wall_ms > budget => {
+        let cold = gate_n.and_then(|n| {
+            rows.iter().find(|r| r.text("case") == "cold" && r.num("n") == u128::from(n))
+        });
+        match cold.map(|r| (r.num("n"), r.num("wall_ms"))) {
+            Some((n, wall)) if wall > u128::from(budget) => {
                 eprintln!(
-                    "solver_scale: cold n={} took {} ms, over the {} ms budget",
-                    r.n, r.wall_ms, budget
+                    "solver_scale: cold n={n} took {wall} ms, over the {budget} ms budget"
                 );
                 ok = false;
             }
-            Some(r) => {
-                println!("budget: cold n={} at {} ms within {} ms", r.n, r.wall_ms, budget)
-            }
+            Some((n, wall)) => println!("budget: cold n={n} at {wall} ms within {budget} ms"),
             None => {
                 eprintln!("solver_scale: no cold row to apply --budget-ms to");
                 ok = false;
             }
         }
     }
-    if let Some(baseline_path) = &args.diff {
-        let doc = std::fs::read_to_string(baseline_path).expect("read baseline");
-        let baseline = match parse_bench_json(&doc) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("solver_scale: baseline {baseline_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let in_scope: Vec<BenchRow> =
-            baseline.into_iter().filter(|r| r.n <= args.max_n).collect();
-        let problems = diff_bench_rows(&in_scope, &rows, 20);
-        for p in &problems {
-            eprintln!("solver_scale: REGRESSION: {p}");
-        }
-        if problems.is_empty() {
-            println!("diff vs {baseline_path}: clean ({} rows)", in_scope.len());
-        }
-        ok &= problems.is_empty();
-    }
+    let max_n = u128::from(args.max_n);
+    ok &=
+        SOLVER.gate(&rows, args.out.as_deref(), args.diff.as_deref(), |b| b.num("n") <= max_n);
     if ok {
         ExitCode::SUCCESS
     } else {

@@ -7,9 +7,9 @@
 //! cargo run --release -p swiper-bench --bin table2
 //! ```
 //!
-//! Our chain data are calibrated synthetic replicas (see DESIGN.md), so
-//! cells differ from the published ones; the paper's numbers are printed
-//! alongside for shape comparison.
+//! Our chain data are calibrated synthetic replicas (see "Substitutions"
+//! in `docs/ARCHITECTURE.md`), so cells differ from the published ones;
+//! the paper's numbers are printed alongside for shape comparison.
 //!
 //! The whole sweep — chains × (WR + WS settings) — is expressed as one
 //! [`Instance`] batch per mode and handed to [`Swiper::solve_many`], which
@@ -105,5 +105,6 @@ fn main() {
     println!("{}", table.render());
     println!("note: WR cell `aw->an` doubles as WQ(1-aw, 1-an) by Theorem 2.2;");
     println!("      `(+k)` = extra tickets allocated by --linear mode.");
-    println!("      Chain replicas are synthetic (DESIGN.md): compare shapes, not cells.");
+    println!("      Chain replicas are synthetic (docs/ARCHITECTURE.md, Substitutions):");
+    println!("      compare shapes, not cells.");
 }

@@ -26,8 +26,9 @@
 //! signatures, partial-verification equations) but are trivially forgeable
 //! by an adversary that can divide field elements. The paper's results are
 //! about *how weights are reduced and shares are allocated*, not about the
-//! underlying hardness assumptions; see DESIGN.md for the substitution
-//! rationale. Do not use this crate for real cryptography.
+//! underlying hardness assumptions; see "Substitutions" in
+//! `docs/ARCHITECTURE.md` for the rationale. Do not use this crate for
+//! real cryptography.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -10,7 +10,8 @@
 //! referenced constructions — which need group arithmetic unavailable
 //! offline — while preserving the protocol-visible interface: a public
 //! commitment broadcast by the dealer, per-share verification, and
-//! dealer-equivocation detection at reconstruction (see DESIGN.md).
+//! dealer-equivocation detection at reconstruction (see "Substitutions" in
+//! `docs/ARCHITECTURE.md`).
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};

@@ -12,9 +12,10 @@
 //! `alpha_n = f_n`).
 //!
 //! The DDH commitment-shuffle of \[10\] is simulated with hash commitments
-//! and a beacon-seeded shuffle (see DESIGN.md): what the experiments need
-//! is *who wins how often* and *that only the winner can produce an
-//! opening*, both of which the simulation preserves.
+//! and a beacon-seeded shuffle (see "Substitutions" in
+//! `docs/ARCHITECTURE.md`): what the experiments need is *who wins how
+//! often* and *that only the winner can produce an opening*, both of which
+//! the simulation preserves.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

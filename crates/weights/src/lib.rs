@@ -6,7 +6,8 @@
 //! in 2023 and are not redistributable; this crate generates **calibrated
 //! synthetic replicas** matching the published `(n, W)` of each system and
 //! the qualitative skew of proof-of-stake distributions (a few whales plus
-//! a heavy dust tail) — see DESIGN.md for the substitution rationale.
+//! a heavy dust tail) — see "Substitutions" in `docs/ARCHITECTURE.md` for
+//! the rationale.
 //!
 //! Also here: generic distribution generators ([`gen`]), the bootstrap
 //! resampler used for the right-hand columns of Figures 1–5

@@ -1,114 +1,47 @@
 #!/usr/bin/env bash
-# Re-runs the benchmark sweeps and diffs them against the committed
-# baselines.
+# Re-runs the four benchmark sweeps and diffs each against its committed
+# baseline. Every gate lives in the sweep binaries, driven by the field
+# roles of the row schemas in crates/bench/src/lib.rs (SOLVER, RUNTIME,
+# EPOCHS, GOSSIP): identity fields pair rows, exact fields must match,
+# wall_ms may not regress by more than 20% on rows of 250 ms and up,
+# informational fields are never gated, and each schema's invariants hold
+# every fresh row whether or not a baseline row matches it.
 #
-# Solver section (BENCH_solver.json): fails on any deterministic-counter
-# mismatch, >20% wall-time regression (rows over 250 ms), or a blown
-# --budget-ms. Extra flags are forwarded to solver_scale verbatim.
+# Solver (BENCH_solver.json): seed-deterministic counters exact, wall with
+# tolerance, a blown --budget-ms fails; whenever the sweep reaches n=1e6
+# the certified warm replay must settle checks from certificates
+# (certificate_skips + coarse_cert_hits > 0). Extra flags are forwarded to
+# solver_scale verbatim; baseline rows above --max-n are not compared.
 #
-# Runtime section (BENCH_runtime.json): re-runs the threaded-runtime
-# smoke sweep — both transport backends, in-process channels and
-# loopback-TCP sockets — and diffs the cells it covers against the
-# committed full sweep. A row's identity includes its transport, so
-# socket cells gate against socket baselines only: commits and
-# twin-replay status exact, >20% wall-time regression (rows over
-# 250 ms) fails. Any twin divergence fails on its own, baseline or not.
+# Runtime (BENCH_runtime.json): the threaded-runtime smoke sweep over the
+# channel and loopback-socket transports; commits and twin status exact.
+# Any twin divergence fails on its own, baseline or not.
 #
-# Accelerator-counter section: parses the fresh solver rows exactly
-# (cursor_advances / probes_saved / coarse_cert_hits are deterministic
-# counters, already diffed above) and additionally fails if the certified
-# n=1e6 warm replay records certificate_skips + coarse_cert_hits == 0 —
-# the coarse certificate index has stopped hitting at scale, which is
-# exactly the regression this pipeline exists to catch.
+# Epochs (BENCH_epochs.json): the chain x churn replay scenarios;
+# solver-work counters exact, bracket_divergence informational, plus the
+# epochs bin's own --ci-smoke gates.
 #
-# Epochs section (BENCH_epochs.json): replays the chain × churn
-# reconfiguration scenarios and diffs the seed-deterministic solver-work
-# counters (epochs, cert_skips, warm/plain/cold dp, hit rate) exactly;
-# `bracket_divergence` is informational and never gated. The epochs bin's
-# own --ci-smoke gates (nonzero hit rate / cert skips at 1% churn) apply
-# on top.
+# Gossip (BENCH_gossip.json): the overlay dissemination sweep (--ci-smoke
+# drops the two slow cells); simulator counters exact, threaded rows on
+# reach and twin status, reach 100% and overlay beating the n^2 flood at
+# n >= 256 on every fresh row.
 #
-# Gossip section (BENCH_gossip.json): re-runs the overlay dissemination
-# sweep (--ci-smoke drops the two slow cells) and diffs the covered rows:
-# simulator counters exact, threaded rows on reach + twin status, wall
-# with tolerance. Every fresh row is additionally held to the acceptance
-# invariants — reach 100%, and overlay msgs/delivery strictly below the
-# n²-flood baseline of n at n >= 256 — baseline present or not.
+# Runtime, epochs and gossip compare only the baseline rows the fresh run
+# covers. Fresh rows go to temporary files; the baselines are only read.
 #
 # Usage: scripts/bench_regression.sh [--max-n N] [--budget-ms MS]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-BASELINE="BENCH_solver.json"
-if [[ ! -f "$BASELINE" ]]; then
-    echo "bench_regression: missing committed baseline $BASELINE" >&2
-    exit 1
-fi
-
-RUNTIME_BASELINE="BENCH_runtime.json"
-if [[ ! -f "$RUNTIME_BASELINE" ]]; then
-    echo "bench_regression: missing committed baseline $RUNTIME_BASELINE" >&2
-    exit 1
-fi
-
-EPOCHS_BASELINE="BENCH_epochs.json"
-if [[ ! -f "$EPOCHS_BASELINE" ]]; then
-    echo "bench_regression: missing committed baseline $EPOCHS_BASELINE" >&2
-    exit 1
-fi
-
-GOSSIP_BASELINE="BENCH_gossip.json"
-if [[ ! -f "$GOSSIP_BASELINE" ]]; then
-    echo "bench_regression: missing committed baseline $GOSSIP_BASELINE" >&2
-    exit 1
-fi
-
-FRESH="$(mktemp /tmp/BENCH_solver.fresh.XXXXXX.json)"
-RUNTIME_FRESH="$(mktemp /tmp/BENCH_runtime.fresh.XXXXXX.json)"
-EPOCHS_FRESH="$(mktemp /tmp/BENCH_epochs.fresh.XXXXXX.json)"
-GOSSIP_FRESH="$(mktemp /tmp/BENCH_gossip.fresh.XXXXXX.json)"
-trap 'rm -f "$FRESH" "$RUNTIME_FRESH" "$EPOCHS_FRESH" "$GOSSIP_FRESH"' EXIT
+FRESH="$(mktemp -d /tmp/bench_regression.XXXXXX)"
+trap 'rm -rf "$FRESH"' EXIT
 
 cargo run --release -p swiper-bench --bin solver_scale -- \
-    --out "$FRESH" --diff "$BASELINE" "$@"
-
-# Exact parse of one accelerator counter from a solver row: row identity by
-# case + n, counter by key. The row format is one JSON object per line, so
-# a line-oriented extraction is exact, not approximate.
-counter_of() { # counter_of <case> <n> <key>
-    sed -n "s/.*\"case\":\"$1\",\"n\":$2,.*\"$3\":\([0-9]*\).*/\1/p" "$FRESH" | head -n 1
-}
-
-CERT_ROW_PRESENT="$(grep -c "\"case\":\"certified\",\"n\":1000000," "$FRESH" || true)"
-if [[ "$CERT_ROW_PRESENT" -gt 0 ]]; then
-    SKIPS="$(counter_of certified 1000000 certificate_skips)"
-    COARSE="$(counter_of certified 1000000 coarse_cert_hits)"
-    CURSOR="$(counter_of certified 1000000 cursor_advances)"
-    SAVED="$(counter_of certified 1000000 probes_saved)"
-    for v in SKIPS COARSE CURSOR SAVED; do
-        if [[ -z "${!v}" ]]; then
-            echo "bench_regression: could not parse $v from the certified n=1e6 row" >&2
-            exit 1
-        fi
-    done
-    echo "certified n=1e6: certificate_skips=$SKIPS coarse_cert_hits=$COARSE" \
-         "cursor_advances=$CURSOR probes_saved=$SAVED"
-    if [[ "$((SKIPS + COARSE))" -eq 0 ]]; then
-        echo "bench_regression: certified n=1e6 warm replay settled zero checks from" \
-             "certificates (certificate_skips + coarse_cert_hits == 0) — the coarse" \
-             "certificate index stopped hitting at scale" >&2
-        exit 1
-    fi
-else
-    echo "bench_regression: sweep capped below n=1e6; skipping the certificate-hit gate"
-fi
-
+    --out "$FRESH/solver.json" --diff BENCH_solver.json "$@"
 cargo run --release -p swiper-bench --bin runtime_scale -- \
-    --ci-smoke --transport both --out "$RUNTIME_FRESH" --diff "$RUNTIME_BASELINE"
-
+    --ci-smoke --transport both --out "$FRESH/runtime.json" --diff BENCH_runtime.json
 cargo run --release -p swiper-bench --bin epochs -- \
-    --ci-smoke --quiet --out "$EPOCHS_FRESH" --diff "$EPOCHS_BASELINE"
-
+    --ci-smoke --quiet --out "$FRESH/epochs.json" --diff BENCH_epochs.json
 cargo run --release -p swiper-bench --bin gossip_scale -- \
-    --ci-smoke --out "$GOSSIP_FRESH" --diff "$GOSSIP_BASELINE"
+    --ci-smoke --out "$FRESH/gossip.json" --diff BENCH_gossip.json
